@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .games import ActionSpace, PolymatrixGame, PsneSet, enumerate_psne
-from .mixture import Dataset, MixtureModel, nll_scale
+from .games import ActionSpace, PolymatrixGame, PsneSet, _best_response_table
+from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
 DEFAULT_GAME_CEILING = 10_000_000
@@ -46,12 +46,7 @@ class CandidateFamily:
         size = space.joint_size
         seen = {}
         for cand in candidates:
-            if not 1 <= len(cand) <= size - 1:
-                raise InputError(
-                    f"candidate of size {len(cand)} outside 1..{size - 1}"
-                )
-            if cand.indices[-1] >= size:
-                raise InputError("candidate contains out-of-range indices")
+            check_psne_set(cand, size)
             seen[cand.indices] = cand
         ordered = sorted(seen.values(), key=lambda c: (len(c), c.indices))
         self.space = space
@@ -225,16 +220,10 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> np.ndarray:
     digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
     rows = set()
     for parents, u, tables in _player_structures(n, k, sizes, grid, i):
-        m = math.prod(sizes[j - 1] for j in parents)
-        payoff = np.tile(u[:, None], (1, m))
-        stride = m
+        br, cstrides = _best_response_table(u, [tables[j] for j in parents])
         cfg = np.zeros(size, dtype=np.int64)
-        for j in parents:
-            sj = sizes[j - 1]
-            stride //= sj
-            payoff += tables[j][:, (np.arange(m) // stride) % sj]
+        for j, stride in zip(parents, cstrides):
             cfg += digits[j] * stride
-        br = payoff == payoff.max(axis=0, keepdims=True)
         allowed = br[digits[i], cfg]
         rows.add(np.packbits(allowed).tobytes())
     packed = np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8)
@@ -269,18 +258,16 @@ def enumerate_psne_sets(
     action_sizes,
     grid=DEFAULT_GRID,
     *,
-    method: str = "regions",
     joint_ceiling: int = DEFAULT_FAMILY_JOINT_CEILING,
     game_ceiling: int = DEFAULT_GAME_CEILING,
 ) -> CandidateFamily:
     """Every PSNE set realizable by a grid game under the parent budget.
 
     The family size is the empirical hypothesis-class count for this grid.
-    The default "regions" method enumerates per-player best-response
-    regions and intersects them across players (the class is a product over
-    players, so this reaches exactly the same sets as mapping the game
-    stream through the PSNE enumerator, which remains available as
-    method="games").
+    The build enumerates per-player best-response regions and intersects
+    them across players: the class is a product over players, so this
+    reaches exactly the sets that mapping `enumerate_grid_games` through
+    `enumerate_psne` would, without sweeping a single game.
     """
     sizes = _check_class_params(n, k, action_sizes)
     grid = _normalize_grid(grid)
@@ -294,16 +281,6 @@ def enumerate_psne_sets(
         f"grid-games(n={n}, k={k}, actions={','.join(map(str, sizes))}, "
         f"grid={','.join(repr(v) for v in grid)})"
     )
-    if method == "games":
-        found = {}
-        for game in enumerate_grid_games(n, k, sizes, grid, ceiling=game_ceiling):
-            psne = enumerate_psne(game)
-            if 1 <= len(psne) <= space.joint_size - 1:
-                found[psne.indices] = psne
-        return CandidateFamily(space, list(found.values()), label)
-    if method != "regions":
-        raise InputError(f"unknown enumeration method {method!r}")
-
     per_player_structures = sum(
         _player_structure_count(n, k, sizes, grid, i) for i in range(1, n + 1)
     )
@@ -359,9 +336,8 @@ def explicit_family(action_sizes, sets: Iterable[Iterable[int]]) -> CandidateFam
 
 def _clamp_q(q_unconstrained, sizes, joint_size):
     """Push the unconstrained optimizer into the admissible interval."""
-    lower = sizes / joint_size + LOWER_CLAMP_OFFSET
-    upper = 1.0 - 1.0 / (2.0 * joint_size)
-    q = np.clip(q_unconstrained, lower, upper)
+    interval = MixtureInterval.of(sizes, joint_size)
+    q = np.clip(q_unconstrained, interval.lower + LOWER_CLAMP_OFFSET, interval.upper)
     return q, q != q_unconstrained
 
 
@@ -391,31 +367,46 @@ def _select(family: CandidateFamily, objective, q, clamped) -> FitResult:
     )
 
 
+def _check_fit(family: CandidateFamily, space: ActionSpace, source: str) -> None:
+    if len(family) == 0:
+        raise InputError("cannot fit over an empty candidate family")
+    if space.counts != family.space.counts:
+        raise InputError(f"{source} and family action spaces differ")
+
+
+def _in_set(family: CandidateFamily, per_index: np.ndarray) -> np.ndarray:
+    """Per-candidate sum of an integer vector over each set's indices."""
+    # integer matmul keeps the sum exact and independent of any threaded
+    # summation order
+    return (family.member_matrix().astype(np.int64) @ per_index).astype(float)
+
+
+def _scan(family: CandidateFamily, inside, outside, total) -> FitResult:
+    """Argmin of the average scaled NLL, with each candidate's q in closed
+    form, given the weight falling inside and outside each set."""
+    size = family.space.joint_size
+    sizes = family.sizes().astype(float)
+    q, clamped = _clamp_q(inside / total, sizes, float(size))
+    scale = nll_scale(family.space)
+    nll_in = (np.log(sizes) - np.log(q)) / scale
+    nll_out = (np.log(size - sizes) - np.log1p(-q)) / scale
+    objective = (inside * nll_in + outside * nll_out) / total
+    return _select(family, objective, q, clamped)
+
+
 def fit_mle(family: CandidateFamily, data: Dataset) -> FitResult:
     """Empirical MLE over the family.
 
     The dataset enters only through per-candidate in-set counts, taken from
     a histogram of joint indices, so the scan is a single matrix product.
     """
-    if len(family) == 0:
-        raise InputError("cannot fit over an empty candidate family")
+    _check_fit(family, data.space, "dataset")
     if data.m == 0:
         raise InputError("cannot fit on an empty dataset")
-    if data.space.counts != family.space.counts:
-        raise InputError("dataset and family action spaces differ")
-    size = family.space.joint_size
-    hist = np.bincount(data.indices, minlength=size)
-    # integer matmul keeps the sufficient statistic exact and independent
-    # of any threaded summation order
-    counts = (family.member_matrix().astype(np.int64) @ hist).astype(float)
-    sizes = family.sizes().astype(float)
+    hist = np.bincount(data.indices, minlength=family.space.joint_size)
+    counts = _in_set(family, hist)
     m = float(data.m)
-    q, clamped = _clamp_q(counts / m, sizes, float(size))
-    scale = nll_scale(family.space)
-    nll_in = (np.log(sizes) - np.log(q)) / scale
-    nll_out = (np.log(size - sizes) - np.log1p(-q)) / scale
-    objective = (counts * nll_in + (m - counts) * nll_out) / m
-    return _select(family, objective, q, clamped)
+    return _scan(family, counts, m - counts, m)
 
 
 def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:
@@ -426,22 +417,9 @@ def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:
     set, that candidate at q equal to the true parameter is the unique
     minimizer.
     """
-    if len(family) == 0:
-        raise InputError("cannot fit over an empty candidate family")
-    if truth.space.counts != family.space.counts:
-        raise InputError("truth model and family action spaces differ")
-    size = family.space.joint_size
-    truth_indicator = np.zeros(size, dtype=np.int64)
+    _check_fit(family, truth.space, "truth model")
+    truth_indicator = np.zeros(family.space.joint_size, dtype=np.int64)
     truth_indicator[list(truth.psne.indices)] = 1
-    overlap = (family.member_matrix().astype(np.int64) @ truth_indicator).astype(float)
-    sizes = family.sizes().astype(float)
-    r_true = float(len(truth.psne))
-    mass = truth.q * (overlap / r_true) + (1.0 - truth.q) * (
-        (sizes - overlap) / (size - r_true)
-    )
-    q, clamped = _clamp_q(mass, sizes, float(size))
-    scale = nll_scale(family.space)
-    nll_in = (np.log(sizes) - np.log(q)) / scale
-    nll_out = (np.log(size - sizes) - np.log1p(-q)) / scale
-    objective = mass * nll_in + (1.0 - mass) * nll_out
-    return _select(family, objective, q, clamped)
+    overlap = _in_set(family, truth_indicator)
+    mass = truth.mass(overlap, family.sizes().astype(float))
+    return _scan(family, mass, 1.0 - mass, 1.0)

@@ -115,7 +115,10 @@ class ResultTable:
 def thread_count() -> int:
     env = os.environ.get("PSNE_LEARN_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"PSNE_LEARN_THREADS={env!r} is not an integer") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -278,7 +281,7 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     space = ActionSpace(sizes)
     size = space.joint_size
     q = config.fano_q if config.fano_q is not None else 2.0 / size
-    if not 1.0 / size < q <= 1.0 - 1.0 / (2.0 * size):
+    if q not in mixture_interval(1, size):
         raise ConfigError(f"fano mixture weight q={q} inadmissible for |A|={size}")
 
     population = math.comb(config.n, config.k)

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Mapping
 
@@ -42,6 +43,22 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@contextmanager
+def _json_payload(path: str, kind: str):
+    """Yield a JSON file's payload for the caller to build from.
+
+    Malformed JSON, or a missing key or mistyped value met while building,
+    becomes an InputError naming the file; a file that cannot be opened
+    stays an OSError.
+    """
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+        yield payload
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed {kind} file {path}: {exc}") from exc
+
+
 # -- games -------------------------------------------------------------
 
 def write_game(path: str, game: PolymatrixGame) -> None:
@@ -61,11 +78,11 @@ def write_game(path: str, game: PolymatrixGame) -> None:
 
 
 def read_game(path: str) -> PolymatrixGame:
-    with open(path) as handle:
-        payload = json.load(handle)
-    try:
+    with _json_payload(path, "game") as payload:
         n = int(payload["n"])
         sizes = [int(s) for s in payload["actions"]]
+        if len(sizes) != n:
+            raise InputError(f"{len(sizes)} action sizes for n={n}")
         neighbors = {int(i): [int(j) for j in js] for i, js in payload["neighbors"].items()}
         unary = {int(i): vals for i, vals in payload["unary"].items()}
         pairwise = {}
@@ -74,10 +91,6 @@ def read_game(path: str) -> PolymatrixGame:
             pairwise[(i, j)] = np.asarray(flat, dtype=float).reshape(
                 sizes[i - 1], sizes[j - 1]
             )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed game file {path}: {exc}") from exc
-    if len(sizes) != n:
-        raise InputError(f"game file {path}: {len(sizes)} action sizes for n={n}")
     return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
@@ -155,15 +168,12 @@ def write_family(path: str, family: CandidateFamily) -> None:
 
 
 def read_family(path: str) -> CandidateFamily:
-    with open(path) as handle:
-        payload = json.load(handle)
-    try:
-        space = ActionSpace(tuple(int(s) for s in payload["actions"]))
-        sets = [PsneSet(c) for c in payload["candidates"]]
-        provenance = str(payload.get("provenance", "explicit list"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed family file {path}: {exc}") from exc
-    return CandidateFamily(space, sets, provenance)
+    with _json_payload(path, "family") as payload:
+        return CandidateFamily(
+            ActionSpace(tuple(int(s) for s in payload["actions"])),
+            [PsneSet(c) for c in payload["candidates"]],
+            str(payload.get("provenance", "explicit list")),
+        )
 
 
 def write_fit(path: str, fit: FitResult) -> None:
@@ -177,14 +187,13 @@ def write_fit(path: str, fit: FitResult) -> None:
 
 
 def read_fit(path: str) -> FitResult:
-    with open(path) as handle:
-        payload = json.load(handle)
-    return FitResult(
-        psne=PsneSet(payload["psne"]),
-        q_hat=float(payload["q_hat"]),
-        objective=float(payload["objective"]),
-        clamped=bool(payload["clamped"]),
-    )
+    with _json_payload(path, "fit") as payload:
+        return FitResult(
+            psne=PsneSet(payload["psne"]),
+            q_hat=float(payload["q_hat"]),
+            objective=float(payload["objective"]),
+            clamped=bool(payload["clamped"]),
+        )
 
 
 # -- result tables -------------------------------------------------------
@@ -207,19 +216,18 @@ def write_results(path: str, table: ResultTable, fmt: str = "csv") -> None:
 
 
 def read_results_json(path: str) -> ResultTable:
-    with open(path) as handle:
-        payload = json.load(handle)
-    rows = tuple(
-        ResultRow(
-            m=int(r["m"]),
-            metric=str(r["metric"]),
-            value=float(r["value"]),
-            stderr=float(r["stderr"]),
-            trials=int(r["trials"]),
+    with _json_payload(path, "results") as payload:
+        rows = tuple(
+            ResultRow(
+                m=int(r["m"]),
+                metric=str(r["metric"]),
+                value=float(r["value"]),
+                stderr=float(r["stderr"]),
+                trials=int(r["trials"]),
+            )
+            for r in payload["rows"]
         )
-        for r in payload["rows"]
-    )
-    return ResultTable(rows, payload["meta"])
+        return ResultTable(rows, payload["meta"])
 
 
 # -- experiment configuration --------------------------------------------

@@ -72,27 +72,28 @@ class ActionSpace:
         if not 1 <= player <= self.n:
             raise InputError(f"player {player} out of range 1..{self.n}")
 
+    def _check_joint(self, actions: Sequence[int]) -> tuple[int, ...]:
+        """The joint action as a tuple of ints: one in-range action per player."""
+        actions = tuple(int(a) for a in actions)
+        if len(actions) != self.n:
+            raise InputError(f"expected {self.n} actions, got {len(actions)}")
+        for p, (a, s) in enumerate(zip(actions, self.counts)):
+            if not 1 <= a <= s:
+                raise InputError(f"action {a} for player {p + 1} outside 1..{s}")
+        return actions
+
 
 def encode_joint_action(space: ActionSpace, actions: Sequence[int]) -> int:
     """Mixed-radix index of a joint action, player 1 most significant."""
-    actions = tuple(int(a) for a in actions)
-    if len(actions) != space.n:
-        raise InputError(f"expected {space.n} actions, got {len(actions)}")
-    index = 0
-    for p, (a, s) in enumerate(zip(actions, space.counts)):
-        if not 1 <= a <= s:
-            raise InputError(f"action {a} for player {p + 1} outside 1..{s}")
-        index += (a - 1) * space.strides[p]
-    return index
+    actions = space._check_joint(actions)
+    return sum((a - 1) * s for a, s in zip(actions, space.strides))
 
 
 def decode_joint_action(space: ActionSpace, index: int) -> tuple[int, ...]:
     index = int(index)
     if not 0 <= index < space.joint_size:
         raise InputError(f"index {index} outside 0..{space.joint_size - 1}")
-    return tuple(
-        (index // space.strides[p]) % space.counts[p] + 1 for p in range(space.n)
-    )
+    return tuple(space.digit(index, p) + 1 for p in range(1, space.n + 1))
 
 
 class PsneSet:
@@ -249,19 +250,10 @@ class PolymatrixGame:
 
     __hash__ = None
 
-    def _check_joint(self, x: Sequence[int]) -> tuple[int, ...]:
-        x = tuple(int(a) for a in x)
-        if len(x) != self.n:
-            raise InputError(f"expected {self.n} actions, got {len(x)}")
-        for p, (a, s) in enumerate(zip(x, self.space.counts)):
-            if not 1 <= a <= s:
-                raise InputError(f"action {a} for player {p + 1} outside 1..{s}")
-        return x
-
     def local_payoffs(self, i: int, x: Sequence[int]) -> np.ndarray:
         """Payoff of every candidate action a for player i against x."""
         self.space._check_player(i)
-        x = self._check_joint(x)
+        x = self.space._check_joint(x)
         vals = self._unary[i - 1].copy()
         for j in self._neighbors[i - 1]:
             vals += self._pairwise[(i, j)][:, x[j - 1] - 1]
@@ -278,32 +270,31 @@ class PolymatrixGame:
         return frozenset(int(a) + 1 for a in np.flatnonzero(vals == best))
 
     def is_psne(self, x: Sequence[int]) -> bool:
-        x = self._check_joint(x)
+        x = self.space._check_joint(x)
         return all(
             x[i - 1] in self.best_responses(i, x) for i in range(1, self.n + 1)
         )
 
 
-def _best_response_grid(game: PolymatrixGame, i: int):
-    """Boolean table br[a, cfg] over the parent-configuration grid.
+def _best_response_table(
+    unary: np.ndarray, tables: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[int]]:
+    """Boolean table br[a, cfg] over one player's parent-configuration grid.
 
-    cfg enumerates the parents of i in ascending player order, first parent
-    most significant.  Returns (br, parent players, cfg strides).
+    `unary` is the player's float potential vector and `tables` holds one
+    |A_i| x |A_j| pairwise table per parent; cfg enumerates the parents in
+    that order, first parent most significant.  Returns (br, cfg strides).
     """
-    space = game.space
-    parents = game.neighbors(i)
-    sizes = [space.counts[j - 1] for j in parents]
-    m = math.prod(sizes)
-    payoff = np.tile(game.unary_table(i)[:, None], (1, m)).astype(float)
+    m = math.prod(t.shape[1] for t in tables)
+    payoff = np.tile(unary[:, None], (1, m))
     stride = m
     cstrides = []
-    for j, sj in zip(parents, sizes):
+    for table in tables:
+        sj = table.shape[1]
         stride //= sj
         cstrides.append(stride)
-        digit = (np.arange(m) // stride) % sj
-        payoff += game.pairwise_table(i, j)[:, digit]
-    br = payoff == payoff.max(axis=0, keepdims=True)
-    return br, parents, cstrides
+        payoff += table[:, (np.arange(m) // stride) % sj]
+    return payoff == payoff.max(axis=0, keepdims=True), cstrides
 
 
 def enumerate_psne(
@@ -324,12 +315,16 @@ def enumerate_psne(
         raise CapacityError(
             f"joint space has {space.joint_size} actions, ceiling is {ceiling}"
         )
-    grids = [_best_response_grid(game, i) for i in range(1, game.n + 1)]
+    grids = []
+    for i in range(1, game.n + 1):
+        parents = game.neighbors(i)
+        tables = [game.pairwise_table(i, j) for j in parents]
+        grids.append((parents, *_best_response_table(game.unary_table(i), tables)))
     found: list[np.ndarray] = []
     for start in range(0, space.joint_size, chunk):
         idx = np.arange(start, min(start + chunk, space.joint_size), dtype=np.int64)
         ok = np.ones(idx.shape, dtype=bool)
-        for i, (br, parents, cstrides) in enumerate(grids, start=1):
+        for i, (parents, br, cstrides) in enumerate(grids, start=1):
             xi = space.digit(idx, i)
             cfg = np.zeros(idx.shape, dtype=np.int64)
             for j, cs in zip(parents, cstrides):
@@ -399,12 +394,7 @@ class LinearPsneForm:
         """y(i, x) in {-1, 0, 1}: indicators as played, then negated probes."""
         space = self.space
         space._check_player(i)
-        x = tuple(int(a) for a in x)
-        if len(x) != space.n:
-            raise InputError(f"expected {space.n} actions, got {len(x)}")
-        for p, (a, s) in enumerate(zip(x, space.counts)):
-            if not 1 <= a <= s:
-                raise InputError(f"action {a} for player {p + 1} outside 1..{s}")
+        x = space._check_joint(x)
         si = space.counts[i - 1]
         others = [j for j in range(1, space.n + 1) if j != i]
         dim = (1 + si) * (1 + sum(space.counts[j - 1] for j in others))

@@ -30,7 +30,7 @@ from .games import (
     encode_joint_action,
     enumerate_psne,
 )
-from .mixture import Dataset
+from .mixture import Dataset, mixture_interval
 
 
 def influence_psne(pi: Iterable[int], n: int) -> tuple[int, ...]:
@@ -69,8 +69,7 @@ def influence_game(
         raise InputError(f"k={k} must lie in 1..{n - 1}")
     if len(pi) != k:
         raise InputError(f"expected {k} influential players, got {len(pi)}")
-    if not set(pi) <= set(range(1, n + 1)):
-        raise InputError(f"players {pi} not within 1..{n}")
+    action = influence_psne(pi, n)
     sizes = tuple(int(s) for s in action_sizes) if action_sizes else (2,) * n
     if len(sizes) != n:
         raise InputError(f"expected {n} action sizes, got {len(sizes)}")
@@ -94,7 +93,6 @@ def influence_game(
         pairwise=pairwise,
     )
 
-    action = influence_psne(pi, n)
     index = encode_joint_action(game.space, action)
     found = enumerate_psne(game)
     if found != PsneSet([index]):
@@ -123,7 +121,7 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must lie in 1..{n - 1}")
     size = space.joint_size
-    if not 1.0 / size < q <= 1.0 - 1.0 / (2.0 * size):
+    if q not in mixture_interval(1, size):
         raise InputError(f"q={q} outside (1/{size}, 1 - 1/{2 * size}]")
 
     first = tuple(range(1, k + 1))

@@ -39,6 +39,12 @@ class MixtureInterval:
     lower: float
     upper: float
 
+    @classmethod
+    def of(cls, psne_size, joint_size) -> "MixtureInterval":
+        """(|NE|/|A|, 1 - 1/(2|A|)], unchecked; given an array of set sizes,
+        `lower` is the array of their lower ends."""
+        return cls(psne_size / joint_size, 1.0 - 1.0 / (2.0 * joint_size))
+
     def __contains__(self, q: float) -> bool:
         return self.lower < q <= self.upper
 
@@ -49,7 +55,16 @@ def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
             f"PSNE size {psne_size} must lie in 1..{joint_size - 1} "
             f"for a joint space of {joint_size}"
         )
-    return MixtureInterval(psne_size / joint_size, 1.0 - 1.0 / (2.0 * joint_size))
+    return MixtureInterval.of(psne_size, joint_size)
+
+
+def check_psne_set(psne: PsneSet, joint_size: int) -> MixtureInterval:
+    """Reject a PSNE set that is empty, full, or reaches past the joint
+    space; return its admissible q interval."""
+    interval = mixture_interval(len(psne), joint_size)
+    if psne.indices[-1] >= joint_size:
+        raise InputError(f"PSNE set index {psne.indices[-1]} outside 0..{joint_size - 1}")
+    return interval
 
 
 class Dataset:
@@ -125,13 +140,7 @@ class MixtureModel:
 
     def __init__(self, space: ActionSpace, psne: PsneSet, q: float):
         size = space.joint_size
-        if not 1 <= len(psne) <= size - 1:
-            raise InputError(
-                f"PSNE set size {len(psne)} must lie in 1..{size - 1}"
-            )
-        if psne.indices[-1] >= size:
-            raise InputError("PSNE set contains indices outside the joint space")
-        interval = mixture_interval(len(psne), size)
+        interval = check_psne_set(psne, size)
         q = float(q)
         if q not in interval:
             raise InputError(
@@ -189,6 +198,14 @@ class MixtureModel:
         idx[~signal] = _complement_member(ne, ranks)
         return Dataset(self.space, idx)
 
+    def mass(self, overlap, set_size):
+        """Probability of a set of `set_size` joint actions, `overlap` of
+        them in the PSNE set; elementwise over arrays."""
+        r = len(self.psne)
+        return self.q * (overlap / r) + (1.0 - self.q) * (
+            (set_size - overlap) / (self.space.joint_size - r)
+        )
+
     def empirical_nll(self, data: Dataset) -> float:
         """Average scaled NLL over a dataset, via the in-set count."""
         if data.m == 0:
@@ -207,18 +224,10 @@ def expected_log_pmf(truth: MixtureModel, model: MixtureModel) -> float:
     """
     if truth.space.counts != model.space.counts:
         raise InputError("models live on different action spaces")
-    size = truth.space.joint_size
-    t, mm = truth.psne.members, model.psne.members
-    inter = len(t & mm)
-    t_only = len(t) - inter
-    m_only = len(mm) - inter
-    neither = size - len(t) - m_only
-    mass_on_model = truth.q * (inter / len(t)) + (1.0 - truth.q) * (
-        m_only / (size - len(t))
-    )
-    mass_off_model = truth.q * (t_only / len(t)) + (1.0 - truth.q) * (
-        neither / (size - len(t))
-    )
+    inter = len(truth.psne.members & model.psne.members)
+    r = len(model.psne)
+    mass_on_model = truth.mass(inter, r)
+    mass_off_model = truth.mass(len(truth.psne) - inter, truth.space.joint_size - r)
     return mass_on_model * model.log_in + mass_off_model * model.log_out
 
 

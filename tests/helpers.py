@@ -13,10 +13,13 @@ import numpy as np
 
 from psne_learn import (
     ActionSpace,
+    CandidateFamily,
     MixtureModel,
     PolymatrixGame,
     PsneSet,
     encode_joint_action,
+    enumerate_grid_games,
+    enumerate_psne,
 )
 
 
@@ -88,6 +91,21 @@ def random_grid_game(rng, n, k, sizes, grid):
             t[1:, :] = rng.choice(grid, size=(sizes[i - 1] - 1, sizes[j - 1]))
             pairwise[(i, j)] = t
     return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
+
+
+def games_psne_sets(n, k, sizes, grid):
+    """The grid-game family the slow way: every game's own PSNE set.
+
+    Maps the whole normalized game stream through the exact PSNE sweep, the
+    definition that region intersection in `enumerate_psne_sets` shortcuts.
+    """
+    space = ActionSpace(sizes)
+    found = {}
+    for game in enumerate_grid_games(n, k, sizes, grid):
+        psne = enumerate_psne(game)
+        if 1 <= len(psne) <= space.joint_size - 1:
+            found[psne.indices] = psne
+    return CandidateFamily(space, list(found.values()), "grid-game stream")
 
 
 def random_model(rng, max_joint=256, max_psne=None):

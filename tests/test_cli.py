@@ -45,6 +45,18 @@ class TestPipeline:
         fit = read_fit(fit_path)
         assert fit.psne.indices == (0,)
 
+    def test_malformed_family_json_exit_code(self, tmp_path, capsys):
+        family_path = tmp_path / "family.json"
+        family_path.write_text("{bad")
+        code, _, err = run(
+            capsys,
+            "fit", "--family", str(family_path), "--data", str(tmp_path / "d.csv"),
+            "--out", str(tmp_path / "fit.json"),
+        )
+        assert code == 2
+        assert "input error" in err and str(family_path) in err
+        assert "Traceback" not in err
+
     def test_sample_index_out_of_range(self, tmp_path, capsys):
         family_path = str(tmp_path / "family.json")
         run(capsys, "enumerate", "--n", "2", "--k", "0", "--out", family_path)
@@ -125,6 +137,16 @@ class TestExperiment:
         )
         assert code == 4
         assert "capacity error" in err
+
+    def test_non_integer_thread_count_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PSNE_LEARN_THREADS", "abc")
+        code, _, err = run(
+            capsys,
+            "experiment", "--kind", "fano", "--n", "4", "--k", "1",
+            "--m-schedule", "0", "--trials", "2", "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 3
+        assert "PSNE_LEARN_THREADS='abc'" in err and "Traceback" not in err
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         code, _, err = run(

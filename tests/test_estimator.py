@@ -23,6 +23,7 @@ from psne_learn import (
     optimal_q,
     population_mle,
 )
+from helpers import games_psne_sets
 
 GRID3 = (-1.0, 0.0, 1.0)
 SPACE4 = ActionSpace((2, 2))
@@ -81,8 +82,8 @@ class TestFamilyEnumeration:
             (3, 2, (2, 2, 2), (0.0, 1.0)),
         ]
         for n, k, sizes, grid in cases:
-            by_regions = enumerate_psne_sets(n, k, sizes, grid, method="regions")
-            by_games = enumerate_psne_sets(n, k, sizes, grid, method="games")
+            by_regions = enumerate_psne_sets(n, k, sizes, grid)
+            by_games = games_psne_sets(n, k, sizes, grid)
             assert [c.indices for c in by_regions] == [c.indices for c in by_games]
 
     def test_singleton_grid_empty_family(self):
@@ -104,10 +105,6 @@ class TestFamilyEnumeration:
         with pytest.raises(CapacityError):
             enumerate_psne_sets(5, 1, (4, 4, 4, 4, 4), joint_ceiling=512)
 
-    def test_unknown_method(self):
-        with pytest.raises(InputError):
-            enumerate_psne_sets(2, 1, (2, 2), method="guess")
-
 
 class TestFamilyFactories:
     def test_all_subsets_singletons(self):
@@ -124,8 +121,10 @@ class TestFamilyFactories:
         assert [c.indices for c in family] == [(1,), (0, 3)]
 
     def test_explicit_family_rejects_full_set(self):
-        with pytest.raises(InputError):
-            explicit_family((2, 2), [[0, 1, 2, 3]])
+        # and, through the same check, an empty set or an index past |A|
+        for bad in ([0, 1, 2, 3], [], [4]):
+            with pytest.raises(InputError):
+                explicit_family((2, 2), [bad])
 
 
 class TestOptimalQ:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -170,6 +171,11 @@ class TestFano:
         )
         table = run_fano(config)
         assert table.meta["derived"]["q"] == 0.3
+        # |A| = 16: the interval (1/16, 1 - 1/32] is closed above, open below
+        top = run_fano(dataclasses.replace(config, fano_q=1 - 1 / 32))
+        assert top.meta["derived"]["q"] == 1 - 1 / 32
+        with pytest.raises(ConfigError, match="inadmissible"):
+            run_fano(dataclasses.replace(config, fano_q=1 / 16))
 
     def test_large_hypothesis_count_switches_to_sampling(self):
         # C(30, 4) = 27405 candidates: too many to enumerate, so the hidden

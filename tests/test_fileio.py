@@ -53,6 +53,18 @@ class TestGameRoundTrip:
             read_game(str(path))
 
 
+@pytest.mark.parametrize("content", ["{bad", "{}"])
+@pytest.mark.parametrize(
+    "reader", [read_game, read_family, read_fit, read_results_json],
+    ids=lambda f: f.__name__,
+)
+def test_malformed_json_names_the_file(tmp_path, reader, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    with pytest.raises(InputError, match="input.json"):
+        reader(str(path))
+
+
 class TestDatasetRoundTrip:
     def test_lossless(self, tmp_path):
         data = Dataset.from_actions(ActionSpace((2, 3)), [(1, 3), (2, 1), (2, 2)])

@@ -57,6 +57,23 @@ class TestEncoding:
             ActionSpace((2, 1))
 
 
+BAD_JOINTS = [(1,), (0, 1), (1, 4)]  # wrong length, action 0, action |A_2| + 1
+JOINT_CHECKERS = {
+    "encode": lambda game, x: encode_joint_action(game.space, x),
+    "is_psne": lambda game, x: game.is_psne(x),
+    "payoff": lambda game, x: game.payoff(1, x),
+    "features": lambda game, x: LinearPsneForm.from_game(game).features(1, x),
+}
+
+
+@pytest.mark.parametrize("checker", sorted(JOINT_CHECKERS))
+@pytest.mark.parametrize("x", BAD_JOINTS)
+def test_joint_action_checked_everywhere(checker, x):
+    game = PolymatrixGame([2, 3], neighbors={1: [2]})
+    with pytest.raises(InputError):
+        JOINT_CHECKERS[checker](game, x)
+
+
 class TestPayoff:
     def test_influenced_player_collects_one_unit_per_parent_on_one(self):
         inst = influence_game(3, 2, [1, 2])

@@ -159,6 +159,7 @@ class TestMapDecoder:
             map_decoder(data, 0, 0.5)
         with pytest.raises(InputError):
             map_decoder(data, 1, 0.25)  # at the uniform weight: no signal
+        assert map_decoder(data, 1, 1 - 1 / 8) == (1,)  # closed upper end
 
 
 class TestAllInfluenceSets:

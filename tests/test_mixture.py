@@ -48,8 +48,10 @@ class TestModelValidation:
         assert MixtureModel(SPACE4, PsneSet([0]), 0.875).q == 0.875
 
     def test_full_psne_set_rejected(self):
-        with pytest.raises(InputError):
-            MixtureModel(SPACE4, PsneSet([0, 1, 2, 3]), 0.9)
+        # and, through the same check, the empty set
+        for bad in ([0, 1, 2, 3], []):
+            with pytest.raises(InputError):
+                MixtureModel(SPACE4, PsneSet(bad), 0.9)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(InputError):
