@@ -59,6 +59,15 @@ def _json_payload(path: str, kind: str):
         raise InputError(f"malformed {kind} file {path}: {exc}") from exc
 
 
+def _read_lines(path: str, error: type[Exception]):
+    """Yield a text file's lines; bytes that do not decode raise `error` naming it."""
+    try:
+        with open(path) as handle:
+            yield from handle
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not readable text: {exc}") from None
+
+
 # -- games -------------------------------------------------------------
 
 def write_game(path: str, game: PolymatrixGame) -> None:
@@ -110,43 +119,37 @@ def read_dataset(path: str, space: ActionSpace | None = None) -> Dataset:
     Without an explicit action space, per-player sizes are inferred as the
     larger of 2 and the largest action seen in each column.
     """
-    with open(path) as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(_read_lines(path, InputError))
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path}:1: missing header row")
+    n = len(header)
+    expected = [f"player_{p}" for p in range(1, n + 1)]
+    if header != expected or n == 0:
+        raise InputError(f"{path}:1: header must be player_1..player_n, got {header}")
+    if space is not None and space.n != n:
+        raise InputError(f"{path}:1: header has {n} players, expected {space.n}")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != n:
+            raise InputError(
+                f"{path}:{lineno}: expected {n} cells, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}:1: missing header row") from None
-        n = len(header)
-        expected = [f"player_{p}" for p in range(1, n + 1)]
-        if header != expected or n == 0:
+            actions = [int(cell) for cell in row]
+        except ValueError:
             raise InputError(
-                f"{path}:1: header must be player_1..player_n, got {header}"
-            )
-        if space is not None and space.n != n:
-            raise InputError(
-                f"{path}:1: header has {n} players, expected {space.n}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n:
+                f"{path}:{lineno}: non-integer action in {row}"
+            ) from None
+        for p, a in enumerate(actions, start=1):
+            limit = space.counts[p - 1] if space is not None else None
+            if a < 1 or (limit is not None and a > limit):
                 raise InputError(
-                    f"{path}:{lineno}: expected {n} cells, got {len(row)}"
+                    f"{path}:{lineno}: action {a} for player {p} out of range"
                 )
-            try:
-                actions = [int(cell) for cell in row]
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: non-integer action in {row}"
-                ) from None
-            for p, a in enumerate(actions, start=1):
-                limit = space.counts[p - 1] if space is not None else None
-                if a < 1 or (limit is not None and a > limit):
-                    raise InputError(
-                        f"{path}:{lineno}: action {a} for player {p} out of range"
-                    )
-            rows.append(actions)
+        rows.append(actions)
     if space is None:
         arr = np.asarray(rows, dtype=np.int64)
         counts = (
@@ -268,22 +271,21 @@ def read_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment."""
     values: dict[str, str] = {}
     problems: list[str] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                problems.append(f"{path}:{lineno}: expected key = value, got {text!r}")
-                continue
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                problems.append(f"{path}:{lineno}: unknown key {key!r}")
-                continue
-            if key in values:
-                problems.append(f"{path}:{lineno}: duplicate key {key!r}")
-                continue
-            values[key] = raw
+    for lineno, line in enumerate(_read_lines(path, ConfigError), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            problems.append(f"{path}:{lineno}: expected key = value, got {text!r}")
+            continue
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            problems.append(f"{path}:{lineno}: unknown key {key!r}")
+            continue
+        if key in values:
+            problems.append(f"{path}:{lineno}: duplicate key {key!r}")
+            continue
+        values[key] = raw
     if problems:
         raise ConfigError("; ".join(problems))
     return values

@@ -306,9 +306,10 @@ def enumerate_psne(
     """Exact PSNE set of a game, by sweep over the full joint space.
 
     The sweep factors through per-player best-response tables over parent
-    configurations, then checks every joint index in fixed-size chunks, so
-    peak memory stays bounded regardless of the joint-space size (which
-    must not exceed `ceiling`).
+    configurations and walks joint indices in fixed-size chunks, so peak
+    memory stays bounded (the joint space must not exceed `ceiling`).  An
+    index leaves its chunk at the first player whose table rejects it, so
+    later players see only the survivors, still in ascending order.
     """
     space = game.space
     if space.joint_size > ceiling:
@@ -323,14 +324,12 @@ def enumerate_psne(
     found: list[np.ndarray] = []
     for start in range(0, space.joint_size, chunk):
         idx = np.arange(start, min(start + chunk, space.joint_size), dtype=np.int64)
-        ok = np.ones(idx.shape, dtype=bool)
         for i, (parents, br, cstrides) in enumerate(grids, start=1):
-            xi = space.digit(idx, i)
             cfg = np.zeros(idx.shape, dtype=np.int64)
             for j, cs in zip(parents, cstrides):
                 cfg += space.digit(idx, j) * cs
-            ok &= br[xi, cfg]
-        found.append(idx[ok])
+            idx = idx[br[space.digit(idx, i), cfg]]
+        found.append(idx)
     return PsneSet(np.concatenate(found) if found else ())
 
 

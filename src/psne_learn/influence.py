@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InputError
 from .games import (
-    ActionSpace,
     PolymatrixGame,
     PsneSet,
     encode_joint_action,
@@ -110,11 +109,12 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
 
     Under the known mixture weight q the log-likelihood of a candidate pi
     is affine in the number of samples equal to its equilibrium, so the
-    argmax is the candidate whose equilibrium occurs most often.  Ties,
-    including the no-information case of zero occurrences everywhere, go
-    to the lexicographically smallest candidate.  Only observed joint
-    actions can score above zero, so the scan never materializes the full
-    candidate family.
+    argmax is the candidate whose equilibrium occurs most often.  One pass
+    per player over the distinct observed indices keeps a validity mask
+    (every action 1 or 2) and a count of players on action 1.  Player 1 is
+    most significant, so ascending index order is lexicographic order of
+    candidates: the first maximum sends ties to the smallest, and with no
+    candidate observed the answer is (1, ..., k).
     """
     space = data.space
     n = space.n
@@ -124,21 +124,18 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
     if q not in mixture_interval(1, size):
         raise InputError(f"q={q} outside (1/{size}, 1 - 1/{2 * size}]")
 
-    first = tuple(range(1, k + 1))
-    if data.m == 0:
-        return first
     observed, counts = np.unique(data.indices, return_counts=True)
-    best_pi = first
-    best_count = 0
-    for index, count in zip(observed, counts):
-        actions = [space.digit(int(index), p) + 1 for p in range(1, n + 1)]
-        members = tuple(i for i, a in enumerate(actions, start=1) if a == 1)
-        if len(members) != k or any(a > 2 for a in actions):
-            continue
-        count = int(count)
-        if count > best_count or (count == best_count and members < best_pi):
-            best_pi, best_count = members, count
-    return best_pi
+    valid = np.ones(observed.shape, dtype=bool)
+    ones = np.zeros(observed.shape, dtype=np.int64)
+    for p in range(1, n + 1):
+        digit = space.digit(observed, p)
+        valid &= digit <= 1
+        ones += digit == 0
+    score = np.where(valid & (ones == k), counts, 0)
+    if not score.any():
+        return tuple(range(1, k + 1))
+    best = int(observed[np.argmax(score)])
+    return tuple(p for p in range(1, n + 1) if space.digit(best, p) == 0)
 
 
 def all_influence_sets(n: int, k: int) -> list[tuple[int, ...]]:

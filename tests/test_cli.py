@@ -57,6 +57,20 @@ class TestPipeline:
         assert "input error" in err and str(family_path) in err
         assert "Traceback" not in err
 
+    def test_undecodable_data_exit_code(self, tmp_path, capsys):
+        family_path = str(tmp_path / "family.json")
+        run(capsys, "enumerate", "--n", "2", "--k", "1", "--out", family_path)
+        data_path = tmp_path / "data.csv"
+        data_path.write_bytes(b"\xff\xfe\x00bad")
+        code, _, err = run(
+            capsys,
+            "fit", "--family", family_path, "--data", str(data_path),
+            "--out", str(tmp_path / "fit.json"),
+        )
+        assert code == 2
+        assert "input error" in err and str(data_path) in err
+        assert "Traceback" not in err
+
     def test_sample_index_out_of_range(self, tmp_path, capsys):
         family_path = str(tmp_path / "family.json")
         run(capsys, "enumerate", "--n", "2", "--k", "0", "--out", family_path)
@@ -127,6 +141,17 @@ class TestExperiment:
         )
         assert code == 3
         assert "configuration error" in err
+
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.cfg"
+        config_path.write_bytes(b"\xff\xfe\x00bad")
+        code, _, err = run(
+            capsys,
+            "experiment", "--config", str(config_path), "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 3
+        assert "configuration error" in err and str(config_path) in err
+        assert "Traceback" not in err
 
     def test_capacity_error_exit_code(self, tmp_path, capsys):
         code, _, err = run(

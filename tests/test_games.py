@@ -163,8 +163,28 @@ class TestEnumeratePsne:
 
     def test_chunking_matches_single_pass(self):
         rng = np.random.default_rng(2)
-        game = random_grid_game(rng, 4, 3, (2, 2, 2, 2), (-1.0, 0.0, 1.0))
-        assert enumerate_psne(game, chunk=3) == enumerate_psne(game)
+        games = [random_grid_game(rng, 4, 3, (2, 2, 2, 2), (-1.0, 0.0, 1.0))]
+        for _ in range(10):
+            sizes = tuple(int(rng.integers(2, 4)) for _ in range(3))
+            games.append(random_grid_game(rng, 3, 2, sizes, (-1.0, 0.0, 1.0)))
+        # matching pennies between players 1 and 2: the sweep empties at
+        # player 2, before player 3 is reached
+        pennies = PolymatrixGame(
+            [2, 2, 3],
+            neighbors={1: [2], 2: [1]},
+            pairwise={
+                (1, 2): [[1.0, 0.0], [0.0, 1.0]],
+                (2, 1): [[0.0, 1.0], [1.0, 0.0]],
+            },
+        )
+        zero = PolymatrixGame([2, 3, 2])
+        assert len(brute_psne_set_local(pennies)) == 0
+        assert len(brute_psne_set_local(zero)) == zero.space.joint_size
+        for game in games + [pennies, zero]:
+            expected = brute_psne_set_local(game)
+            assert enumerate_psne(game) == expected
+            for chunk in (1, 3, 7, game.space.joint_size):
+                assert enumerate_psne(game, chunk=chunk) == expected
 
 
 def brute_psne_set_local(game):

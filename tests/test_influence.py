@@ -138,18 +138,39 @@ class TestMapDecoder:
 
     def test_matches_brute_force_likelihood_scan(self):
         rng = np.random.default_rng(42)
-        for n in (4, 5, 6):
-            space = ActionSpace((2,) * n)
-            size = space.joint_size
+        for sizes in ((2,) * 4, (2,) * 5, (2,) * 6, (2, 3, 2, 2, 3)):
+            space = ActionSpace(sizes)
+            n, size = space.n, space.joint_size
             q = 2.0 / size
             for k in (1, 2, n - 1):
+                candidates = all_influence_sets(n, k)
                 for trial in range(25):
-                    pi = tuple(
-                        sorted(int(j) for j in rng.choice(n, size=k, replace=False) + 1)
+                    pi, rival = (
+                        candidates[int(j)]
+                        for j in rng.choice(len(candidates), size=2, replace=False)
                     )
                     idx = encode_joint_action(space, influence_psne(pi, n))
-                    model = MixtureModel(space, PsneSet([idx]), q)
-                    data = model.sample(int(rng.integers(0, 30)), 1000 + trial)
+                    if trial % 5 == 4:
+                        # Two candidates tie at a nonzero count.  A more
+                        # frequent stray scores for nobody: pi's equilibrium
+                        # with an outsider on action 3, or on action 1 when
+                        # every outsider is binary.
+                        outsiders = [i for i in range(1, n + 1) if i not in pi]
+                        wide = [i for i in outsiders if sizes[i - 1] > 2]
+                        stray = list(influence_psne(pi, n))
+                        stray[(wide or outsiders)[0] - 1] = 3 if wide else 1
+                        c = int(rng.integers(1, 6))
+                        other = encode_joint_action(space, influence_psne(rival, n))
+                        data = Dataset(
+                            space,
+                            [idx, other] * c
+                            + [encode_joint_action(space, stray)] * (c + 1),
+                        )
+                        assert map_decoder(data, k, q) == min(pi, rival)
+                    else:
+                        model = MixtureModel(space, PsneSet([idx]), q)
+                        m = int(rng.integers(0, 30 if trial % 2 else 4000))
+                        data = model.sample(m, 1000 + trial)
                     assert map_decoder(data, k, q) == brute_map_decoder(data, k, q)
 
     def test_parameter_validation(self):
