@@ -60,6 +60,11 @@ def superset_recovery_margin(psne_size: int, q: float, joint_size: int) -> float
     return numerator / (math.log(2.0) + 2.0 * math.log(joint_size))
 
 
+def _check_fano_space(joint_size: int) -> None:
+    if joint_size < 3:
+        raise InputError("need a joint space of at least 3 actions")
+
+
 def fano_pair_kl(q: float, joint_size: int) -> float:
     """KL between two singleton-equilibrium mixtures with equal q.
 
@@ -67,8 +72,7 @@ def fano_pair_kl(q: float, joint_size: int) -> float:
     Defined for q above the uniform weight 1/|A|; at q = 1/|A| both models
     collapse to uniform and the divergence vanishes.
     """
-    if joint_size < 3:
-        raise InputError("need a joint space of at least 3 actions")
+    _check_fano_space(joint_size)
     q = float(q)
     if not 1.0 / joint_size < q < 1.0:
         raise InputError(f"q={q} must lie in (1/{joint_size}, 1)")
@@ -111,6 +115,7 @@ def fano_error_lower_bound(
     """
     if m < 0:
         raise InputError("sample count must be nonnegative")
+    _check_fano_space(joint_size)
     if not 1 <= k <= n - 1:
         raise InputError(
             f"k={k} must lie in 1..{n - 1}: otherwise there is a single "

@@ -6,9 +6,6 @@ exact MLE, `theory` evaluates the closed-form bound calculators, and
 `experiment` runs a Monte Carlo harness.  Every run echoes its resolved
 configuration to stderr.  Exit codes: 0 success, 2 input error, 3
 configuration error, 4 capacity error, 5 I/O error.
-
-The PSNE_LEARN_THREADS environment variable caps worker threads; it
-affects speed only, never output bytes.
 """
 
 from __future__ import annotations

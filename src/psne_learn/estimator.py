@@ -353,16 +353,12 @@ def optimal_q(psne: PsneSet, data: Dataset) -> tuple[float, bool]:
 
 
 def _select(family: CandidateFamily, objective, q, clamped) -> FitResult:
-    """Argmin with deterministic ties: smaller set first, then index order."""
-    best = float(np.min(objective))
-    ties = np.flatnonzero(objective == best)
-    winner = min(
-        ties, key=lambda t: (len(family.candidates[t]), family.candidates[t].indices)
-    )
+    """First minimum: the family's (size, indices) order breaks ties."""
+    winner = int(np.argmin(objective))
     return FitResult(
         psne=family.candidates[winner],
         q_hat=float(q[winner]),
-        objective=best,
+        objective=float(objective[winner]),
         clamped=bool(clamped[winner]),
     )
 

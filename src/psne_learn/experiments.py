@@ -4,20 +4,16 @@ Every harness output is a pure function of (config, master seed).  Trial
 randomness derives from the master seed through numpy SeedSequence with a
 fixed spawn key: (0,) reserves a stream for drawing the truth instance,
 and (1, m_index, trial_index) yields the per-trial stream, from which
-integer sub-seeds are read as consecutive 32-bit words.  Trials are
-independent work items; a thread pool (capped by PSNE_LEARN_THREADS) may
-execute them in any order, and results are reduced by trial index, so
-worker count never changes a single output byte.
+integer sub-seeds are read as consecutive 32-bit words.  Trials run on
+the calling thread in trial-index order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -113,21 +109,8 @@ class ResultTable:
 
 
 def thread_count() -> int:
-    env = os.environ.get("PSNE_LEARN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"PSNE_LEARN_THREADS={env!r} is not an integer") from None
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Worker threads a harness uses: always 1, trials run on the caller."""
+    return 1
 
 
 def _trial_words(master: int, m_index: int, trial_index: int, words: int) -> list[int]:
@@ -139,7 +122,8 @@ def _trial_words(master: int, m_index: int, trial_index: int, words: int) -> lis
     ]
 
 
-def _freq_row(m: int, metric: str, hits: Sequence[bool], trials: int) -> ResultRow:
+def _freq_row(m: int, metric: str, hits: Sequence[bool]) -> ResultRow:
+    trials = len(hits)
     f = sum(bool(h) for h in hits) / trials
     return ResultRow(m, metric, f, math.sqrt(f * (1.0 - f) / trials), trials)
 
@@ -179,8 +163,7 @@ def _choose_truth(
 
 
 def _base_meta(config: ExperimentConfig) -> dict:
-    meta = {"config": asdict(config), "seed": config.seed, "version": __version__}
-    return meta
+    return {"config": asdict(config), "seed": config.seed, "version": __version__}
 
 
 def _table(rows, meta: dict) -> ResultTable:
@@ -188,36 +171,43 @@ def _table(rows, meta: dict) -> ResultTable:
     return ResultTable(tuple(rows), json.loads(json.dumps(meta)))
 
 
-def run_recovery(config: ExperimentConfig) -> ResultTable:
-    """Frequency of superset / exact / subset PSNE recovery per sample size."""
-    if config.kind != "recovery":
-        raise ConfigError(f"run_recovery got a {config.kind!r} config")
+def _fit_trials(config: ExperimentConfig):
+    """The sample-and-fit loop shared by the recovery and gap harnesses.
+
+    Builds the family, chooses the truth, and fits every trial's draw.
+    Returns the family, the truth, one (m, fits) pair per sample size with
+    the fits in trial-index order, and the metadata both harnesses write.
+    """
     family = enumerate_psne_sets(config.n, config.k, config.sizes, config.grid)
     truth = _choose_truth(config, family)
-
-    def one(job):
-        mi, m, ti = job
-        (data_seed,) = _trial_words(config.seed, mi, ti, 1)
-        fit = fit_mle(family, truth.sample(m, data_seed))
-        hat = fit.psne.members
-        true = truth.psne.members
-        return true <= hat, hat == true, hat <= true
-
-    rows = []
+    trials = []
     for mi, m in enumerate(config.m_schedule):
-        outcomes = _parallel_map(
-            one, [(mi, m, ti) for ti in range(config.trials)]
-        )
-        for col, metric in enumerate(("superset", "exact", "subset")):
-            rows.append(
-                _freq_row(m, metric, [o[col] for o in outcomes], config.trials)
-            )
+        fits = []
+        for ti in range(config.trials):
+            (data_seed,) = _trial_words(config.seed, mi, ti, 1)
+            fits.append(fit_mle(family, truth.sample(m, data_seed)))
+        trials.append((m, fits))
     meta = _base_meta(config)
     meta["derived"] = {
         "family_size": len(family),
         "truth_psne": list(truth.psne.indices),
         "q_star": truth.q,
     }
+    return family, truth, trials, meta
+
+
+def run_recovery(config: ExperimentConfig) -> ResultTable:
+    """Frequency of superset / exact / subset PSNE recovery per sample size."""
+    if config.kind != "recovery":
+        raise ConfigError(f"run_recovery got a {config.kind!r} config")
+    _, truth, trials, meta = _fit_trials(config)
+    true = truth.psne.members
+    rows = []
+    for m, fits in trials:
+        hats = [fit.psne.members for fit in fits]
+        rows.append(_freq_row(m, "superset", [true <= h for h in hats]))
+        rows.append(_freq_row(m, "exact", [h == true for h in hats]))
+        rows.append(_freq_row(m, "subset", [h <= true for h in hats]))
     return _table(rows, meta)
 
 
@@ -229,22 +219,17 @@ def run_generalization_gap(config: ExperimentConfig) -> ResultTable:
     """
     if config.kind != "gap":
         raise ConfigError(f"run_generalization_gap got a {config.kind!r} config")
-    family = enumerate_psne_sets(config.n, config.k, config.sizes, config.grid)
-    truth = _choose_truth(config, family)
+    family, truth, trials, meta = _fit_trials(config)
     baseline = expected_nll(truth, truth)
-
-    def one(job):
-        mi, m, ti = job
-        (data_seed,) = _trial_words(config.seed, mi, ti, 1)
-        fit = fit_mle(family, truth.sample(m, data_seed))
-        fitted = MixtureModel(family.space, fit.psne, fit.q_hat)
-        return expected_nll(fitted, truth) - baseline
-
     rows = []
     level = 1.0 - config.delta
-    for mi, m in enumerate(config.m_schedule):
+    for m, fits in trials:
         gaps = np.asarray(
-            _parallel_map(one, [(mi, m, ti) for ti in range(config.trials)])
+            [
+                expected_nll(MixtureModel(family.space, fit.psne, fit.q_hat), truth)
+                - baseline
+                for fit in fits
+            ]
         )
         mean = float(gaps.mean())
         spread = float(gaps.std(ddof=1)) if config.trials > 1 else 0.0
@@ -256,14 +241,7 @@ def run_generalization_gap(config: ExperimentConfig) -> ResultTable:
         quant = float(np.quantile(gaps, level, method="higher"))
         rows.append(ResultRow(m, "gap_quantile", quant, 0.0, config.trials))
         rows.append(ResultRow(m, "gap_min", float(gaps.min()), 0.0, config.trials))
-    meta = _base_meta(config)
-    meta["derived"] = {
-        "family_size": len(family),
-        "truth_psne": list(truth.psne.indices),
-        "q_star": truth.q,
-        "quantile_level": level,
-        "baseline_nll": baseline,
-    }
+    meta["derived"].update(quantile_level=level, baseline_nll=baseline)
     return _table(rows, meta)
 
 
@@ -293,8 +271,7 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
             for pi in pis
         }
 
-    def one(job):
-        mi, m, ti = job
+    def misdecoded(mi, m, ti) -> bool:
         pi_seed, data_seed = _trial_words(config.seed, mi, ti, 2)
         rng = np.random.default_rng(pi_seed)
         if enumerated:
@@ -310,8 +287,8 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
 
     rows = []
     for mi, m in enumerate(config.m_schedule):
-        errors = _parallel_map(one, [(mi, m, ti) for ti in range(config.trials)])
-        rows.append(_freq_row(m, "map_error", errors, config.trials))
+        errors = [misdecoded(mi, m, ti) for ti in range(config.trials)]
+        rows.append(_freq_row(m, "map_error", errors))
         bound = fano_error_lower_bound(m, config.n, config.k, size, q)
         rows.append(ResultRow(m, "fano_bound", bound, 0.0, config.trials))
     meta = _base_meta(config)

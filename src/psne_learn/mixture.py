@@ -186,6 +186,8 @@ class MixtureModel:
         """
         if m < 0:
             raise InputError("sample count must be nonnegative")
+        if seed < 0:
+            raise InputError(f"seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         signal = rng.random(m) < self.q
         pick = rng.random(m)

@@ -241,6 +241,8 @@ class TestFanoErrorLowerBound:
             fano_error_lower_bound(5, 6, 6, 64)
         with pytest.raises(InputError):
             fano_error_lower_bound(-1, 6, 1, 64)
+        with pytest.raises(InputError):
+            fano_error_lower_bound(5, 3, 1, 0)
 
     def test_q_override(self):
         default = fano_error_lower_bound(10, 6, 1, 64)

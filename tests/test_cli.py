@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,17 @@ class TestPipeline:
         assert code == 2
         assert "input error" in err
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        family_path = str(tmp_path / "family.json")
+        run(capsys, "enumerate", "--n", "2", "--k", "0", "--out", family_path)
+        code, _, err = run(
+            capsys,
+            "sample", "--family", family_path, "--psne", "0", "--q", "0.7",
+            "--m", "10", "--seed", "-1", "--out", str(tmp_path / "d.csv"),
+        )
+        assert code == 2
+        assert "input error" in err and "Traceback" not in err
+
 
 class TestTheory:
     def test_single_quantity(self, capsys):
@@ -114,11 +126,18 @@ class TestTheory:
         assert code == 2
         assert "--q" in err and "--joint" in err
 
-    def test_domain_error_maps_to_input_exit(self, capsys):
-        code, _, _ = run(
-            capsys, "theory", "--beta", "--r", "1", "--q", "0.5", "--joint", "4"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--beta", "--r", "1", "--q", "0.5", "--joint", "4"),
+            ("--fano-bound", "--m", "5", "--n", "3", "--k", "1", "--joint", "0"),
+        ],
+        ids=["beta", "fano-bound"],
+    )
+    def test_domain_error_maps_to_input_exit(self, capsys, argv):
+        code, _, err = run(capsys, "theory", *argv)
         assert code == 2
+        assert "input error" in err and "Traceback" not in err
 
 
 class TestExperiment:
@@ -130,9 +149,9 @@ class TestExperiment:
             "--m-schedule", "0,2", "--trials", "3", "--seed", "1", "--out", out,
         )
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "m,metric,value,stderr,trials"
-        assert json.load(open(out + ".meta.json"))["seed"] == 1
+        assert json.loads(Path(out + ".meta.json").read_text())["seed"] == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code, _, err = run(
@@ -162,16 +181,6 @@ class TestExperiment:
         )
         assert code == 4
         assert "capacity error" in err
-
-    def test_non_integer_thread_count_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PSNE_LEARN_THREADS", "abc")
-        code, _, err = run(
-            capsys,
-            "experiment", "--kind", "fano", "--n", "4", "--k", "1",
-            "--m-schedule", "0", "--trials", "2", "--out", str(tmp_path / "r.csv"),
-        )
-        assert code == 3
-        assert "PSNE_LEARN_THREADS='abc'" in err and "Traceback" not in err
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         code, _, err = run(

@@ -135,6 +135,8 @@ class TestSampling:
         model = MixtureModel(SPACE4, PsneSet([0]), 0.5)
         with pytest.raises(InputError):
             model.sample(-1, 0)
+        with pytest.raises(InputError):
+            model.sample(1, -1)
 
 
 class TestEmpiricalNll:
