@@ -26,6 +26,8 @@ from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
 DEFAULT_GAME_CEILING = 10_000_000
+# partial PSNE sets one player round of the family build may reach
+PARTIAL_SET_CEILING = 4_000_000
 DEFAULT_FAMILY_JOINT_CEILING = 2**16
 # the infimum at the open lower endpoint of the q interval is not attained;
 # clamp this far above it so the estimator stays total
@@ -207,13 +209,13 @@ def enumerate_grid_games(
         yield PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
-def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> np.ndarray:
-    """Distinct acceptance regions for one player, as packed bit rows.
+def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
+    """Distinct acceptance regions for one player, as int bitmasks.
 
     A region is the set of joint actions where player i's action is a best
-    response, for one choice of parents and potentials.  Regions dedupe
-    heavily: distinct potentials often induce the same best-response
-    pattern.
+    response, for one choice of parents and potentials; bit x of its mask
+    is joint index x.  Regions dedupe heavily: distinct potentials often
+    induce the same best-response pattern.
     """
     size = space.joint_size
     all_idx = np.arange(size, dtype=np.int64)
@@ -225,31 +227,9 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> np.ndarray:
         for j, stride in zip(parents, cstrides):
             cfg += digits[j] * stride
         allowed = br[digits[i], cfg]
-        rows.add(np.packbits(allowed).tobytes())
-    packed = np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8)
-    return packed.reshape(len(rows), -1)
-
-
-def _intersect_all(partials: np.ndarray, regions: np.ndarray, limit: int) -> np.ndarray:
-    """All pairwise AND combinations of two packed-row sets, deduplicated."""
-    pieces = []
-    pending = 0
-    out = None
-    for start in range(0, partials.shape[0], 2048):
-        block = partials[start : start + 2048]
-        prod = block[:, None, :] & regions[None, :, :]
-        pieces.append(prod.reshape(-1, partials.shape[1]))
-        pending += pieces[-1].shape[0]
-        if pending >= 4_000_000:
-            merged = np.concatenate(pieces if out is None else [out, *pieces])
-            out = np.unique(merged, axis=0)
-            pieces, pending = [], 0
-            if out.shape[0] > limit:
-                raise CapacityError(
-                    f"intermediate PSNE-set count exceeded {limit}"
-                )
-    merged = np.concatenate(pieces if out is None else [out, *pieces])
-    return np.unique(merged, axis=0)
+        packed = np.packbits(allowed, bitorder="little").tobytes()
+        rows.add(int.from_bytes(packed, "little"))
+    return rows
 
 
 def enumerate_psne_sets(
@@ -268,6 +248,11 @@ def enumerate_psne_sets(
     them across players: the class is a product over players, so this
     reaches exactly the sets that mapping `enumerate_grid_games` through
     `enumerate_psne` would, without sweeping a single game.
+
+    Each region and each partial PSNE set is an int bitmask over the joint
+    space (bit x is joint index x), so a set intersection is one `&` at any
+    width, and a Python set dedupes the partial sets of each player round.
+    Raises CapacityError when a round exceeds PARTIAL_SET_CEILING sets.
     """
     sizes = _check_class_params(n, k, action_sizes)
     grid = _normalize_grid(grid)
@@ -289,22 +274,26 @@ def enumerate_psne_sets(
             f"region enumeration needs {per_player_structures} per-player grid "
             f"assignments, ceiling is {game_ceiling}"
         )
-    nbytes = (space.joint_size + 7) // 8
-    full = np.full((1, nbytes), 255, dtype=np.uint8)
-    # mask off the bits past joint_size so packed rows compare cleanly
-    tail = space.joint_size % 8
-    if tail:
-        full[0, -1] = np.packbits(np.ones(tail, dtype=bool))[0]
-    partial = full
-    limit = 4_000_000
+    size = space.joint_size
+    full = (1 << size) - 1
+    partial = {full}
     for i in range(1, n + 1):
         regions = _player_regions(n, k, sizes, grid, i, space)
-        partial = _intersect_all(partial, regions, limit)
+        merged = set()
+        for row in partial:
+            merged.update([row & r for r in regions])
+            if len(merged) > PARTIAL_SET_CEILING:
+                raise CapacityError(
+                    f"player {i} round reached {len(merged)} partial PSNE sets, "
+                    f"ceiling is {PARTIAL_SET_CEILING}"
+                )
+        partial = merged
+    nbytes = (size + 7) // 8
     candidates = []
     for row in partial:
-        members = np.unpackbits(row, count=space.joint_size).astype(bool)
-        count = int(members.sum())
-        if 1 <= count <= space.joint_size - 1:
+        if row not in (0, full):
+            bits = np.frombuffer(row.to_bytes(nbytes, "little"), np.uint8)
+            members = np.unpackbits(bits, count=size, bitorder="little")
             candidates.append(PsneSet(np.flatnonzero(members)))
     return CandidateFamily(space, candidates, label)
 

@@ -117,12 +117,6 @@ class Dataset:
         )
 
 
-def _complement_member(ne_sorted: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Map complement ranks to joint indices, skipping the sorted PSNE set."""
-    shifted = ne_sorted - np.arange(ne_sorted.size, dtype=np.int64)
-    return ranks + np.searchsorted(shifted, ranks, side="right")
-
-
 class MixtureModel:
     """The distribution over joint actions induced by (space, PSNE set, q)."""
 
@@ -182,22 +176,26 @@ class MixtureModel:
         Each sample consumes two uniforms: the first chooses signal vs
         noise, the second positions within the chosen set (complement
         positions resolve through a sorted-rank lookup, so the draw count
-        per sample is fixed).
+        per sample is fixed).  Both draws share one buffer, and no step
+        gathers through a boolean mask.
         """
         if m < 0:
             raise InputError("sample count must be nonnegative")
         if seed < 0:
             raise InputError(f"seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
-        signal = rng.random(m) < self.q
-        pick = rng.random(m)
-        idx = np.empty(m, dtype=np.int64)
         ne = self.psne.as_array()
         r = ne.size
-        idx[signal] = ne[(pick[signal] * r).astype(np.int64)]
-        comp = self.space.joint_size - r
-        ranks = (pick[~signal] * comp).astype(np.int64)
-        idx[~signal] = _complement_member(ne, ranks)
+        pos = rng.random(m)
+        signal = pos < self.q
+        rng.random(out=pos)
+        pos *= np.where(signal, r, self.space.joint_size - r)
+        idx = pos.astype(np.int64)
+        del pos
+        # the complement rank c is joint index c plus the PSNE indices it skips
+        shifted = ne - np.arange(r, dtype=np.int64)
+        idx += np.searchsorted(shifted, idx, side="right") * ~signal
+        np.copyto(idx, ne.take(idx, mode="clip"), where=signal)
         return Dataset(self.space, idx)
 
     def mass(self, overlap, set_size):

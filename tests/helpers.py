@@ -21,6 +21,8 @@ from psne_learn import (
     enumerate_grid_games,
     enumerate_psne,
 )
+from psne_learn.estimator import _player_structures
+from psne_learn.games import _best_response_table
 
 
 def all_joint_actions(sizes):
@@ -108,6 +110,51 @@ def games_psne_sets(n, k, sizes, grid):
     return CandidateFamily(space, list(found.values()), "grid-game stream")
 
 
+def packed_player_regions(n, k, sizes, grid, i, space):
+    """One player's distinct acceptance regions as packed uint8 rows."""
+    size = space.joint_size
+    all_idx = np.arange(size, dtype=np.int64)
+    digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
+    rows = set()
+    for parents, u, tables in _player_structures(n, k, sizes, grid, i):
+        br, cstrides = _best_response_table(u, [tables[j] for j in parents])
+        cfg = np.zeros(size, dtype=np.int64)
+        for j, stride in zip(parents, cstrides):
+            cfg += digits[j] * stride
+        rows.add(np.packbits(br[digits[i], cfg]).tobytes())
+    packed = np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8)
+    return packed.reshape(len(rows), -1)
+
+
+def packed_intersect_all(partials, regions):
+    """Every pairwise AND of two packed-row sets, deduplicated by row."""
+    prod = partials[:, None, :] & regions[None, :, :]
+    return np.unique(prod.reshape(-1, partials.shape[1]), axis=0)
+
+
+def packed_psne_sets(n, k, sizes, grid):
+    """The region-intersection family on packed byte rows.
+
+    Regions are uint8 rows from `np.packbits`, each player round takes the
+    full outer AND and dedupes it with `np.unique(axis=0)`, and rows decode
+    through `np.unpackbits`: the same class as `enumerate_psne_sets`, built
+    with none of its bitmask arithmetic.
+    """
+    space = ActionSpace(sizes)
+    size = space.joint_size
+    # packbits zero-fills the bits past joint_size, so rows compare cleanly
+    partial = np.packbits(np.ones(size, dtype=bool))[None, :]
+    for i in range(1, n + 1):
+        regions = packed_player_regions(n, k, sizes, grid, i, space)
+        partial = packed_intersect_all(partial, regions)
+    candidates = []
+    for row in partial:
+        members = np.unpackbits(row, count=size).astype(bool)
+        if 1 <= int(members.sum()) <= size - 1:
+            candidates.append(PsneSet(np.flatnonzero(members)))
+    return CandidateFamily(space, candidates, "packed rows")
+
+
 def random_model(rng, max_joint=256, max_psne=None):
     """A random valid mixture model on a random small action space."""
     while True:
@@ -123,6 +170,22 @@ def random_model(rng, max_joint=256, max_psne=None):
     lo, up = r / size, 1.0 - 1.0 / (2.0 * size)
     q = lo + (up - lo) * (0.05 + 0.9 * float(rng.random()))
     return MixtureModel(space, psne, q)
+
+
+def masked_sample_indices(model, m, seed):
+    """The sampler's draw with boolean-mask gathers and a rank lookup per
+    complement draw: the formula `MixtureModel.sample` must reproduce."""
+    rng = np.random.default_rng(seed)
+    signal = rng.random(m) < model.q
+    pick = rng.random(m)
+    idx = np.empty(m, dtype=np.int64)
+    ne = model.psne.as_array()
+    r = ne.size
+    idx[signal] = ne[(pick[signal] * r).astype(np.int64)]
+    ranks = (pick[~signal] * (model.space.joint_size - r)).astype(np.int64)
+    shifted = ne - np.arange(r, dtype=np.int64)
+    idx[~signal] = ranks + np.searchsorted(shifted, ranks, side="right")
+    return idx
 
 
 def brute_expected_nll(model, truth):

@@ -183,14 +183,17 @@ class TestExperiment:
         assert "capacity error" in err
 
     def test_io_error_exit_code(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "deep" / "r.csv")
         code, _, err = run(
             capsys,
             "experiment", "--kind", "fano", "--n", "4", "--k", "1",
             "--m-schedule", "0", "--trials", "1",
-            "--out", str(tmp_path / "missing" / "deep" / "r.csv"),
+            "--out", out,
         )
         assert code == 5
         assert "i/o error" in err
+        assert out in err
+        assert ".tmp-" not in err
 
 
 class TestParsing:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from psne_learn import (
     optimal_q,
     population_mle,
 )
-from helpers import games_psne_sets
+from psne_learn import estimator
+from helpers import games_psne_sets, packed_psne_sets
 
 GRID3 = (-1.0, 0.0, 1.0)
 SPACE4 = ActionSpace((2, 2))
@@ -85,6 +87,35 @@ class TestFamilyEnumeration:
             by_regions = enumerate_psne_sets(n, k, sizes, grid)
             by_games = games_psne_sets(n, k, sizes, grid)
             assert [c.indices for c in by_regions] == [c.indices for c in by_games]
+
+    @pytest.mark.parametrize(
+        "n, k, sizes",
+        [
+            (4, 0, (3, 3, 3, 3)),  # |A| = 81
+            (7, 0, (2,) * 7),  # |A| = 128
+            (3, 0, (4, 4, 5)),  # |A| = 80
+            (3, 1, (3, 2, 2)),  # |A| = 12
+        ],
+    )
+    def test_matches_packed_row_oracle(self, n, k, sizes):
+        # widths past one 64-bit word and not a multiple of 8
+        by_masks = enumerate_psne_sets(n, k, sizes, GRID3)
+        by_rows = packed_psne_sets(n, k, sizes, GRID3)
+        assert len(by_masks) > 0
+        assert [c.indices for c in by_masks] == [c.indices for c in by_rows]
+
+    def test_partial_ceiling_names_round_count_and_ceiling(self, monkeypatch):
+        monkeypatch.setattr(estimator, "PARTIAL_SET_CEILING", 100)
+        with pytest.raises(CapacityError) as err:
+            enumerate_psne_sets(3, 2, (2, 2, 2))
+        found = re.fullmatch(
+            r"player (\d) round reached (\d+) partial PSNE sets, ceiling is 100",
+            str(err.value),
+        )
+        assert found, str(err.value)
+        # rounds 1 and 2 end at 51 and 212 sets, so round 2 trips it
+        assert int(found.group(1)) == 2
+        assert int(found.group(2)) > 100
 
     def test_singleton_grid_empty_family(self):
         assert len(enumerate_psne_sets(2, 1, (2, 2), (0.0,))) == 0

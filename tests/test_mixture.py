@@ -13,7 +13,7 @@ from psne_learn import (
     mixture_interval,
     nll_scale,
 )
-from helpers import brute_expected_nll, random_model
+from helpers import brute_expected_nll, masked_sample_indices, random_model
 
 SPACE4 = ActionSpace((2, 2))
 LN32 = math.log(32.0)
@@ -130,6 +130,22 @@ class TestSampling:
         data = model.sample(4000, 9)
         outside = data.indices[~np.isin(data.indices, [0, 2])]
         assert set(outside.tolist()) == {1, 3}
+
+    def test_matches_masked_formula(self):
+        rng = np.random.default_rng(2024)
+        for sizes in [(2, 2), (2, 2, 2), (3, 2, 2), (2,) * 6, (4, 4, 5), (2,) * 16]:
+            space = ActionSpace(sizes)
+            size = space.joint_size
+            # the extremes |NE| = 1 and |NE| = |A| - 1, then random sizes
+            for r in [1, size - 1] + [int(v) for v in rng.integers(1, min(size, 40), 3)]:
+                psne = PsneSet(rng.choice(size, size=r, replace=False))
+                iv = mixture_interval(r, size)
+                q = iv.lower + (iv.upper - iv.lower) * float(rng.uniform(0.05, 1.0))
+                model = MixtureModel(space, psne, q)
+                for m in (0, 1, 10, 1000, 100_000):
+                    seed = int(rng.integers(2**32))
+                    expected = masked_sample_indices(model, m, seed)
+                    assert np.array_equal(model.sample(m, seed).indices, expected)
 
     def test_negative_count_rejected(self):
         model = MixtureModel(SPACE4, PsneSet([0]), 0.5)
