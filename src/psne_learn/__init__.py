@@ -25,7 +25,6 @@ from .estimator import (
     FitResult,
     all_subsets_family,
     count_grid_games,
-    enumerate_grid_games,
     enumerate_psne_sets,
     explicit_family,
     fit_mle,
@@ -91,7 +90,6 @@ __all__ = [
     "decode_joint_action",
     "embed_binary_weight_game",
     "encode_joint_action",
-    "enumerate_grid_games",
     "enumerate_psne",
     "enumerate_psne_sets",
     "expected_log_pmf",

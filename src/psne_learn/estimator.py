@@ -16,18 +16,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .games import ActionSpace, PolymatrixGame, PsneSet, _best_response_table
+from .games import ActionSpace, PsneSet, _best_response_table
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
 DEFAULT_GAME_CEILING = 10_000_000
 # partial PSNE sets one player round of the family build may reach
 PARTIAL_SET_CEILING = 4_000_000
+# payoff cells plus joint cells one chunk of the region build may hold
+REGION_CHUNK_ELEMENTS = 1 << 16
 DEFAULT_FAMILY_JOINT_CEILING = 2**16
 # the infimum at the open lower endpoint of the q interval is not attained;
 # clamp this far above it so the estimator stays total
@@ -112,7 +114,7 @@ def _check_class_params(n: int, k: int, action_sizes) -> tuple[int, ...]:
     sizes = tuple(int(s) for s in action_sizes)
     if len(sizes) != n:
         raise InputError(f"expected {n} action sizes, got {len(sizes)}")
-    return sizes
+    return ActionSpace(sizes).counts
 
 
 def _player_structure_count(n, k, sizes, grid, i) -> int:
@@ -145,68 +147,15 @@ def count_grid_games(n: int, k: int, action_sizes, grid=DEFAULT_GRID) -> int:
     return total
 
 
-def _player_structures(n, k, sizes, grid, i):
-    """Yield (parents, unary, {parent: table}) for one player, normalized."""
-    si = sizes[i - 1]
-    others = [j for j in range(1, n + 1) if j != i]
-    unary_choices = []
-    for vals in itertools.product(grid, repeat=si - 1):
-        u = np.zeros(si)
-        u[1:] = vals
-        u.flags.writeable = False
-        unary_choices.append(u)
-    for psize in range(0, k + 1):
-        for parents in itertools.combinations(others, psize):
-            table_choices = []
-            for j in parents:
-                sj = sizes[j - 1]
-                tables = []
-                for vals in itertools.product(grid, repeat=(si - 1) * sj):
-                    if all(v == 0.0 for v in vals):
-                        continue
-                    t = np.zeros((si, sj))
-                    t[1:, :] = np.asarray(vals).reshape(si - 1, sj)
-                    t.flags.writeable = False
-                    tables.append(t)
-                table_choices.append(tables)
-            for u in unary_choices:
-                for combo in itertools.product(*table_choices):
-                    yield parents, u, dict(zip(parents, combo))
-
-
-def enumerate_grid_games(
-    n: int,
-    k: int,
-    action_sizes,
-    grid=DEFAULT_GRID,
-    *,
-    ceiling: int = DEFAULT_GAME_CEILING,
-) -> Iterator[PolymatrixGame]:
-    """Stream every normalized grid game with at most k parents per player.
-
-    Potentials are canonically normalized (u_ii(1) = 0, zero first pairwise
-    row), which does not change any best-response set.  Raises CapacityError
-    with the closed-form count when the stream would exceed `ceiling`.
-    """
-    sizes = _check_class_params(n, k, action_sizes)
-    grid = _normalize_grid(grid)
-    total = count_grid_games(n, k, sizes, grid)
-    if total > ceiling:
-        raise CapacityError(
-            f"grid-game stream would contain {total} games, ceiling is {ceiling}"
-        )
-    per_player = [
-        list(_player_structures(n, k, sizes, grid, i)) for i in range(1, n + 1)
-    ]
-    for combo in itertools.product(*per_player):
-        neighbors = {i: parents for i, (parents, _, _) in enumerate(combo, start=1)}
-        unary = {i: u for i, (_, u, _) in enumerate(combo, start=1)}
-        pairwise = {
-            (i, j): table
-            for i, (_, _, tabs) in enumerate(combo, start=1)
-            for j, table in tabs.items()
-        }
-        yield PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
+def _grid_tables(grid, rows: int, cols: int) -> np.ndarray:
+    """Every (rows, cols) table with a zero first row and grid values below,
+    stacked in `itertools.product` order: shape (g ** ((rows - 1) * cols),
+    rows, cols)."""
+    cells = (rows - 1) * cols
+    pick = np.indices((len(grid),) * cells).reshape(cells, -1).T
+    tables = np.zeros((len(pick), rows, cols))
+    tables[:, 1:, :] = np.asarray(grid)[pick].reshape(-1, rows - 1, cols)
+    return tables
 
 
 def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
@@ -214,21 +163,51 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
 
     A region is the set of joint actions where player i's action is a best
     response, for one choice of parents and potentials; bit x of its mask
-    is joint index x.  Regions dedupe heavily: distinct potentials often
-    induce the same best-response pattern.
+    is joint index x.  The unary choices stack as a (U, |A_i|) array and
+    each parent's nonzero pairwise tables as a (T_j, |A_i|, |A_j|) array.
+    Per parent set, the product of their indices is walked in chunks of
+    max(1, REGION_CHUNK_ELEMENTS // (|A_i| * m + |A|)) structures, m being
+    the number of parent configurations: a chunk's payoff grid and joint
+    rows stay within that element budget, so beyond the stacks themselves
+    peak memory does not grow with the structure count.  Each chunk takes
+    one batched best-response table, one gather to the joint space through
+    (player i's digit, cfg) and one `np.packbits`; only its distinct rows
+    become ints.  Regions dedupe heavily: distinct potentials often induce
+    the same best-response pattern.
     """
     size = space.joint_size
+    nbytes = (size + 7) // 8
     all_idx = np.arange(size, dtype=np.int64)
     digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
+    si = sizes[i - 1]
+    others = [j for j in range(1, n + 1) if j != i]
+    unary = _grid_tables(grid, si, 1)[:, :, 0]
+    pairwise = {}
+    # with no parents allowed, a table stack could dwarf the game ceiling
+    if k:
+        for j in others:
+            tables = _grid_tables(grid, si, sizes[j - 1])
+            pairwise[j] = tables[tables.any(axis=(1, 2))]
     rows = set()
-    for parents, u, tables in _player_structures(n, k, sizes, grid, i):
-        br, cstrides = _best_response_table(u, [tables[j] for j in parents])
-        cfg = np.zeros(size, dtype=np.int64)
-        for j, stride in zip(parents, cstrides):
-            cfg += digits[j] * stride
-        allowed = br[digits[i], cfg]
-        packed = np.packbits(allowed, bitorder="little").tobytes()
-        rows.add(int.from_bytes(packed, "little"))
+    for psize in range(0, k + 1):
+        for parents in itertools.combinations(others, psize):
+            shape = (len(unary), *(len(pairwise[j]) for j in parents))
+            total = math.prod(shape)
+            m = math.prod(sizes[j - 1] for j in parents)
+            chunk = max(1, REGION_CHUNK_ELEMENTS // (si * m + size))
+            for start in range(0, total, chunk):
+                pick = np.unravel_index(
+                    np.arange(start, min(start + chunk, total)), shape
+                )
+                tables = [pairwise[j][p] for j, p in zip(parents, pick[1:])]
+                br, cstrides = _best_response_table(unary[pick[0]], tables)
+                cfg = np.zeros(size, dtype=np.int64)
+                for j, stride in zip(parents, cstrides):
+                    cfg += digits[j] * stride
+                packed = np.packbits(br[:, digits[i], cfg], axis=1, bitorder="little")
+                keys = np.ascontiguousarray(packed).view(np.dtype((np.void, nbytes)))
+                distinct = set(keys.ravel().tolist())
+                rows.update(int.from_bytes(row, "little") for row in distinct)
     return rows
 
 
@@ -246,13 +225,17 @@ def enumerate_psne_sets(
     The family size is the empirical hypothesis-class count for this grid.
     The build enumerates per-player best-response regions and intersects
     them across players: the class is a product over players, so this
-    reaches exactly the sets that mapping `enumerate_grid_games` through
-    `enumerate_psne` would, without sweeping a single game.
+    reaches exactly the sets that mapping every normalized grid game (the
+    stream `count_grid_games` counts) through `enumerate_psne` would,
+    without sweeping a single game.
 
-    Each region and each partial PSNE set is an int bitmask over the joint
-    space (bit x is joint index x), so a set intersection is one `&` at any
-    width, and a Python set dedupes the partial sets of each player round.
-    Raises CapacityError when a round exceeds PARTIAL_SET_CEILING sets.
+    Regions come from one batched best-response pass per parent set over
+    stacked unary and pairwise tables, walked in chunks bounded by
+    REGION_CHUNK_ELEMENTS (see `_player_regions`).  Each region and each
+    partial PSNE set is an int bitmask over the joint space (bit x is joint
+    index x), so a set intersection is one `&` at any width, and a Python
+    set dedupes the partial sets of each player round.  Raises
+    CapacityError when a round exceeds PARTIAL_SET_CEILING sets.
     """
     sizes = _check_class_params(n, k, action_sizes)
     grid = _normalize_grid(grid)

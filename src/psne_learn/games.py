@@ -106,11 +106,13 @@ class PsneSet:
         if any(i < 0 for i in idx):
             raise InputError("joint-action indices must be nonnegative")
         self.indices = idx
-        self._members = frozenset(idx)
+        self._members = None
         self._array = None
 
     @property
     def members(self) -> frozenset[int]:
+        if self._members is None:
+            self._members = frozenset(self.indices)
         return self._members
 
     def as_array(self) -> np.ndarray:
@@ -121,7 +123,7 @@ class PsneSet:
         return self._array
 
     def __contains__(self, index) -> bool:
-        return int(index) in self._members
+        return int(index) in self.members
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -279,22 +281,26 @@ class PolymatrixGame:
 def _best_response_table(
     unary: np.ndarray, tables: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[int]]:
-    """Boolean table br[a, cfg] over one player's parent-configuration grid.
+    """Boolean table br[..., a, cfg] over one player's parent-configuration
+    grid.
 
-    `unary` is the player's float potential vector and `tables` holds one
-    |A_i| x |A_j| pairwise table per parent; cfg enumerates the parents in
-    that order, first parent most significant.  Returns (br, cfg strides).
+    `unary` is the player's float potential vector, shape (..., |A_i|), and
+    `tables` holds one (..., |A_i|, |A_j|) pairwise table per parent; cfg
+    enumerates the parents in that order, first parent most significant.
+    Leading axes are a batch of games sharing one parent set: one game has
+    none, the family build passes a chunk of structures.  Returns
+    (br, cfg strides).
     """
-    m = math.prod(t.shape[1] for t in tables)
-    payoff = np.tile(unary[:, None], (1, m))
+    m = math.prod(t.shape[-1] for t in tables)
+    payoff = np.repeat(unary[..., None], m, axis=-1)
     stride = m
     cstrides = []
     for table in tables:
-        sj = table.shape[1]
+        sj = table.shape[-1]
         stride //= sj
         cstrides.append(stride)
-        payoff += table[:, (np.arange(m) // stride) % sj]
-    return payoff == payoff.max(axis=0, keepdims=True), cstrides
+        payoff += table[..., (np.arange(m) // stride) % sj]
+    return payoff == payoff.max(axis=-2, keepdims=True), cstrides
 
 
 def enumerate_psne(

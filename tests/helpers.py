@@ -8,21 +8,40 @@ rather than tautology.
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import psne_learn
 from psne_learn import (
     ActionSpace,
     CandidateFamily,
+    CapacityError,
     MixtureModel,
     PolymatrixGame,
     PsneSet,
+    count_grid_games,
     encode_joint_action,
-    enumerate_grid_games,
     enumerate_psne,
 )
-from psne_learn.estimator import _player_structures
+from psne_learn.estimator import (
+    DEFAULT_GAME_CEILING,
+    DEFAULT_GRID,
+    _check_class_params,
+    _normalize_grid,
+)
 from psne_learn.games import _best_response_table
+
+# the `src` directory of the package this process imported
+SRC = Path(psne_learn.__file__).resolve().parent.parent
+
+
+def child_pythonpath():
+    """PYTHONPATH for a child process run from another directory: the
+    absolute `src`, then any entries already set (a relative entry would
+    resolve against the child's cwd)."""
+    return os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 def all_joint_actions(sizes):
@@ -95,6 +114,93 @@ def random_grid_game(rng, n, k, sizes, grid):
     return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
+def player_structures(n, k, sizes, grid, i):
+    """Yield (parents, unary, {parent: table}) for one player, normalized:
+    u_ii(1) = 0, zero first pairwise row, no all-zero table."""
+    si = sizes[i - 1]
+    others = [j for j in range(1, n + 1) if j != i]
+    unary_choices = []
+    for vals in itertools.product(grid, repeat=si - 1):
+        u = np.zeros(si)
+        u[1:] = vals
+        u.flags.writeable = False
+        unary_choices.append(u)
+    for psize in range(0, k + 1):
+        for parents in itertools.combinations(others, psize):
+            table_choices = []
+            for j in parents:
+                sj = sizes[j - 1]
+                tables = []
+                for vals in itertools.product(grid, repeat=(si - 1) * sj):
+                    if all(v == 0.0 for v in vals):
+                        continue
+                    t = np.zeros((si, sj))
+                    t[1:, :] = np.asarray(vals).reshape(si - 1, sj)
+                    t.flags.writeable = False
+                    tables.append(t)
+                table_choices.append(tables)
+            for u in unary_choices:
+                for combo in itertools.product(*table_choices):
+                    yield parents, u, dict(zip(parents, combo))
+
+
+def enumerate_grid_games(
+    n, k, action_sizes, grid=DEFAULT_GRID, *, ceiling=DEFAULT_GAME_CEILING
+):
+    """Stream every normalized grid game with at most k parents per player.
+
+    Raises CapacityError with the closed-form count when the stream would
+    exceed `ceiling`.
+    """
+    sizes = _check_class_params(n, k, action_sizes)
+    grid = _normalize_grid(grid)
+    total = count_grid_games(n, k, sizes, grid)
+    if total > ceiling:
+        raise CapacityError(
+            f"grid-game stream would contain {total} games, ceiling is {ceiling}"
+        )
+    per_player = [
+        list(player_structures(n, k, sizes, grid, i)) for i in range(1, n + 1)
+    ]
+    for combo in itertools.product(*per_player):
+        neighbors = {i: parents for i, (parents, _, _) in enumerate(combo, start=1)}
+        unary = {i: u for i, (_, u, _) in enumerate(combo, start=1)}
+        pairwise = {
+            (i, j): table
+            for i, (_, _, tabs) in enumerate(combo, start=1)
+            for j, table in tabs.items()
+        }
+        yield PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
+
+
+def _structure_rows(n, k, sizes, grid, i, space):
+    """Player i's acceptance region per structure, as a bool row over the
+    joint space: one best-response table per structure, looked up at
+    every joint index."""
+    size = space.joint_size
+    all_idx = np.arange(size, dtype=np.int64)
+    digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
+    cfgs = {}
+    for parents, u, tables in player_structures(n, k, sizes, grid, i):
+        br, cstrides = _best_response_table(u, [tables[j] for j in parents])
+        if parents not in cfgs:
+            cfgs[parents] = sum(
+                (digits[j] * stride for j, stride in zip(parents, cstrides)),
+                np.zeros(size, dtype=np.int64),
+            )
+        yield br[digits[i], cfgs[parents]]
+
+
+def direct_player_regions(n, k, sizes, grid, i, space):
+    """One player's distinct regions as int bitmasks (bit x is joint index
+    x), one Python call per structure: what the batched
+    `estimator._player_regions` must reproduce."""
+    return {
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in _structure_rows(n, k, sizes, grid, i, space)
+    }
+
+
 def games_psne_sets(n, k, sizes, grid):
     """The grid-game family the slow way: every game's own PSNE set.
 
@@ -112,16 +218,10 @@ def games_psne_sets(n, k, sizes, grid):
 
 def packed_player_regions(n, k, sizes, grid, i, space):
     """One player's distinct acceptance regions as packed uint8 rows."""
-    size = space.joint_size
-    all_idx = np.arange(size, dtype=np.int64)
-    digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
-    rows = set()
-    for parents, u, tables in _player_structures(n, k, sizes, grid, i):
-        br, cstrides = _best_response_table(u, [tables[j] for j in parents])
-        cfg = np.zeros(size, dtype=np.int64)
-        for j, stride in zip(parents, cstrides):
-            cfg += digits[j] * stride
-        rows.add(np.packbits(br[digits[i], cfg]).tobytes())
+    rows = {
+        np.packbits(row).tobytes()
+        for row in _structure_rows(n, k, sizes, grid, i, space)
+    }
     packed = np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8)
     return packed.reshape(len(rows), -1)
 

@@ -12,12 +12,10 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import psne_learn
 from psne_learn import (
     ActionSpace,
     Dataset,
@@ -25,7 +23,6 @@ from psne_learn import (
     LinearPsneForm,
     MixtureModel,
     PsneSet,
-    enumerate_grid_games,
     enumerate_psne_sets,
     explicit_family,
     fano_error_lower_bound,
@@ -39,7 +36,13 @@ from psne_learn import (
     sufficient_samples,
     superset_recovery_margin,
 )
-from helpers import bimatrix_psne_sets, brute_is_psne, random_grid_game
+from helpers import (
+    bimatrix_psne_sets,
+    brute_is_psne,
+    child_pythonpath,
+    enumerate_grid_games,
+    random_grid_game,
+)
 
 GRID3 = (-1.0, 0.0, 1.0)
 
@@ -243,12 +246,10 @@ def test_criterion_8_fano_minimax():
     _passed(8, "fano minimax floor", started, 120.0)
 
 
-SRC = Path(psne_learn.__file__).resolve().parent.parent
 
 
 def _cli(tmp_path, threads, *argv):
-    # Absolute, because a relative entry would resolve against cwd=tmp_path.
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = child_pythonpath()
     env = dict(os.environ, PSNE_LEARN_THREADS=str(threads), PYTHONPATH=path)
     args = [sys.executable, "-m", "psne_learn.cli", *argv]
     proc = subprocess.run(

@@ -1,6 +1,9 @@
+import functools
+import gc
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from psne_learn import (
     PsneSet,
     all_subsets_family,
     count_grid_games,
-    enumerate_grid_games,
     enumerate_psne,
     enumerate_psne_sets,
     expected_nll,
@@ -25,7 +27,12 @@ from psne_learn import (
     population_mle,
 )
 from psne_learn import estimator
-from helpers import games_psne_sets, packed_psne_sets
+from helpers import (
+    direct_player_regions,
+    enumerate_grid_games,
+    games_psne_sets,
+    packed_psne_sets,
+)
 
 GRID3 = (-1.0, 0.0, 1.0)
 SPACE4 = ActionSpace((2, 2))
@@ -72,6 +79,12 @@ class TestGridGameStream:
     def test_capacity_error_reports_estimate(self):
         with pytest.raises(CapacityError, match=str(count_grid_games(2, 1, (2, 2)))):
             list(enumerate_grid_games(2, 1, (2, 2), ceiling=10))
+
+    @pytest.mark.parametrize("sizes", [(0, 2), (1, 2)])
+    def test_count_rejects_action_counts_below_two(self, sizes):
+        # the same rule ActionSpace applies
+        with pytest.raises(InputError, match="every action count must be >= 2"):
+            count_grid_games(2, 1, sizes)
 
 
 class TestFamilyEnumeration:
@@ -135,6 +148,66 @@ class TestFamilyEnumeration:
     def test_joint_ceiling(self):
         with pytest.raises(CapacityError):
             enumerate_psne_sets(5, 1, (4, 4, 4, 4, 4), joint_ceiling=512)
+
+    def test_family_holds_no_per_candidate_frozenset(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            family = enumerate_psne_sets(3, 2, (3, 2, 2))
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # measured per candidate: about 740 B with an eager frozenset in
+        # every PsneSet, about 150 B with the lazy one
+        assert held / len(family) < 300
+
+
+def _regions(build, n, k, sizes, grid):
+    space = ActionSpace(sizes)
+    return [build(n, k, sizes, grid, i, space) for i in range(1, n + 1)]
+
+
+@functools.cache
+def _direct_regions(n, k, sizes, grid):
+    return _regions(direct_player_regions, n, k, sizes, grid)
+
+
+class TestPlayerRegions:
+    """The batched region build against one best-response call per
+    structure, player by player."""
+
+    @pytest.mark.parametrize(
+        "n, k, sizes, grid",
+        [
+            (4, 3, (2, 2, 2, 2), GRID3),
+            (3, 2, (3, 2, 2), GRID3),
+            (3, 1, (3, 3, 3), GRID3),
+            (3, 2, (2, 3, 2), GRID3),
+            (2, 1, (3, 4), GRID3),  # 531,441 structures for player 2
+            (5, 1, (2,) * 5, GRID3),
+            (3, 0, (3, 2, 4), GRID3),
+            (3, 2, (3, 2, 2), (0.0,)),
+            (3, 2, (3, 2, 2), (0.0, 1.0)),
+        ],
+    )
+    def test_matches_direct_build(self, n, k, sizes, grid):
+        batched = _regions(estimator._player_regions, n, k, sizes, grid)
+        assert batched == _direct_regions(n, k, sizes, grid)
+
+    @pytest.mark.parametrize(
+        "budget, n, k, sizes",
+        [
+            (1, 4, 3, (2, 2, 2, 2)),  # one structure per chunk
+            # player 1's 57,600 two-parent structures in chunks of 41, and
+            # every other parent set also ends in a short chunk
+            (1000, 3, 2, (3, 2, 2)),
+        ],
+    )
+    def test_chunking_matches_direct_build(self, monkeypatch, budget, n, k, sizes):
+        monkeypatch.setattr(estimator, "REGION_CHUNK_ELEMENTS", budget)
+        batched = _regions(estimator._player_regions, n, k, sizes, GRID3)
+        assert batched == _direct_regions(n, k, sizes, GRID3)
 
 
 class TestFamilyFactories:

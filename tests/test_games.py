@@ -74,6 +74,20 @@ def test_joint_action_checked_everywhere(checker, x):
         JOINT_CHECKERS[checker](game, x)
 
 
+class TestPsneSet:
+    def test_members_built_once_on_first_read(self):
+        psne = PsneSet(np.array([5, 1, 3, 1]))
+        first = psne.members
+        assert first == frozenset(psne.indices) == frozenset({1, 3, 5})
+        assert psne.members is first
+
+    def test_membership_accepts_numpy_integers(self):
+        psne = PsneSet([1, 3, 5])
+        assert np.int64(3) in psne and np.int32(5) in psne and np.uint8(1) in psne
+        assert np.int64(2) not in psne and 6 not in psne
+        assert psne.members == frozenset({1, 3, 5})
+
+
 class TestPayoff:
     def test_influenced_player_collects_one_unit_per_parent_on_one(self):
         inst = influence_game(3, 2, [1, 2])
