@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError
-from .mixture import MixtureModel, expected_log_pmf, mixture_interval
+from .mixture import MixtureModel, check_joint_size, expected_log_pmf, mixture_interval
 
 
 def mixture_kl(p: MixtureModel, r: MixtureModel) -> float:
@@ -61,6 +61,7 @@ def superset_recovery_margin(psne_size: int, q: float, joint_size: int) -> float
 
 
 def _check_fano_space(joint_size: int) -> None:
+    check_joint_size(joint_size)
     if joint_size < 3:
         raise InputError("need a joint space of at least 3 actions")
 

@@ -4,8 +4,10 @@ Subcommands map one-to-one onto the library layers: `enumerate` builds a
 candidate family, `sample` draws observations from a model, `fit` runs the
 exact MLE, `theory` evaluates the closed-form bound calculators, and
 `experiment` runs a Monte Carlo harness.  Every run echoes its resolved
-configuration to stderr.  Exit codes: 0 success, 2 input error, 3
-configuration error, 4 capacity error, 5 I/O error.
+configuration to stderr: every parsed option, with `enumerate`'s default
+actions filled in, or `experiment`'s whole resolved ExperimentConfig.
+Exit codes: 0 success, 2 input error, 3 configuration error, 4 capacity
+error, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -14,23 +16,31 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 # let values like "-1,0,1" pass as arguments rather than option strings
 _NUMERIC_LIST = re.compile(r"^-\d+(\.\d+)?(,-?\d+(\.\d+)?)*$")
 
 from . import __version__
 from .errors import CapacityError, ConfigError, InputError
-from .estimator import enumerate_psne_sets, fit_mle
+from .estimator import (
+    DEFAULT_FAMILY_JOINT_CEILING,
+    DEFAULT_GAME_CEILING,
+    DEFAULT_GRID,
+    enumerate_psne_sets,
+    fit_mle,
+)
 from .bounds import (
     fano_error_lower_bound,
     fano_pair_kl,
     sufficient_samples,
     superset_recovery_margin,
 )
-from .experiments import run_experiment
+from .experiments import ExperimentConfig, run_experiment
 from .fileio import (
+    EXPERIMENT_KEYS,
     parse_config,
+    parse_list,
     read_dataset,
     read_family,
     write_dataset,
@@ -50,32 +60,14 @@ def _echo(config: dict) -> None:
     print(f"config: {json.dumps(config, sort_keys=True)}", file=sys.stderr)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals: {text!r}")
+def _options(args) -> dict:
+    """Every parsed option, keyed by its destination."""
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def _cmd_enumerate(args) -> int:
     actions = args.actions or (2,) * args.n
-    _echo(
-        {
-            "subcommand": "enumerate",
-            "n": args.n,
-            "k": args.k,
-            "actions": list(actions),
-            "grid": list(args.grid),
-            "out": args.out,
-        }
-    )
+    _echo({**_options(args), "actions": actions})
     family = enumerate_psne_sets(
         args.n,
         args.k,
@@ -90,17 +82,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    _echo(
-        {
-            "subcommand": "sample",
-            "family": args.family,
-            "psne": args.psne,
-            "q": args.q,
-            "m": args.m,
-            "seed": args.seed,
-            "out": args.out,
-        }
-    )
+    _echo(_options(args))
     family = read_family(args.family)
     if not 0 <= args.psne < len(family):
         raise InputError(
@@ -113,14 +95,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _echo(
-        {
-            "subcommand": "fit",
-            "family": args.family,
-            "data": args.data,
-            "out": args.out,
-        }
-    )
+    _echo(_options(args))
     family = read_family(args.family)
     data = read_dataset(args.data, family.space)
     result = fit_mle(family, data)
@@ -139,15 +114,7 @@ def _require(args, names: list[str], feature: str) -> None:
 
 
 def _cmd_theory(args) -> int:
-    _echo(
-        {
-            "subcommand": "theory",
-            "beta": args.beta,
-            "fano_kl": args.fano_kl,
-            "m_sufficient": args.m_sufficient,
-            "fano_bound": args.fano_bound,
-        }
-    )
+    _echo(_options(args))
     out = {}
     if args.beta:
         _require(args, ["r", "q", "joint"], "--beta")
@@ -173,20 +140,7 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {
-        "kind": args.kind,
-        "n": args.n,
-        "k": args.k,
-        "actions": args.actions,
-        "grid": args.grid,
-        "q": args.q,
-        "m_schedule": args.m_schedule,
-        "trials": args.trials,
-        "seed": args.seed,
-        "delta": args.delta,
-        "truth_psne": args.truth_psne,
-        "fano_q": args.fano_q,
-    }
+    overrides = {key: getattr(args, key) for key in EXPERIMENT_KEYS}
     config = parse_config(args.config, overrides)
     _echo({"subcommand": "experiment", **asdict(config)})
     table = run_experiment(config)
@@ -213,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = _NUMERIC_LIST
     p.add_argument("--n", type=int, required=True, help="number of players")
     p.add_argument("--k", type=int, required=True, help="max parents per player")
-    p.add_argument("--actions", type=_int_list, help="sizes, e.g. 2,2 (default all 2)")
-    p.add_argument("--grid", type=_float_list, default=(-1.0, 0.0, 1.0))
-    p.add_argument("--joint-ceiling", type=int, default=2**16)
-    p.add_argument("--game-ceiling", type=int, default=10_000_000)
+    p.add_argument("--actions", type=parse_list(int), help="sizes, e.g. 2,2 (default all 2)")
+    p.add_argument("--grid", type=parse_list(float), default=DEFAULT_GRID)
+    p.add_argument("--joint-ceiling", type=int, default=DEFAULT_FAMILY_JOINT_CEILING)
+    p.add_argument("--game-ceiling", type=int, default=DEFAULT_GAME_CEILING)
     p.add_argument("--out", required=True, help="family JSON path")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -251,29 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="influential players / parent budget")
     p.set_defaults(func=_cmd_theory)
 
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     p = sub.add_parser(
         "experiment",
         help="run a Monte Carlo harness",
-        epilog=(
-            "defaults: n=4, k=3, actions all binary, grid -1,0,1, q 0.7, "
-            "m-schedule 1,10,100,1000, trials 20, seed 0, delta 0.1; fano "
-            "runs use q = 2/|A| unless --fano-q overrides it"
+        epilog="flags override config-file keys of the same name; defaults: "
+        + ", ".join(
+            f"{key} {defaults[field]}"
+            for key, (field, _, _) in EXPERIMENT_KEYS.items()
+            if key != "kind" and defaults[field] not in ((), None)
         ),
     )
     p._negative_number_matcher = _NUMERIC_LIST
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--kind", help="recovery, gap, or fano")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--actions", type=_int_list)
-    p.add_argument("--grid", type=_float_list)
-    p.add_argument("--q", type=float, help="true signal level")
-    p.add_argument("--m-schedule", type=_int_list)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--truth-psne", type=_int_list, help="joint indices of the truth")
-    p.add_argument("--fano-q", type=float, help="override the 2/|A| default")
+    for key, (_, parse, text) in EXPERIMENT_KEYS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=parse, help=text)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", required=True, help="results path")
     p.set_defaults(func=_cmd_experiment)

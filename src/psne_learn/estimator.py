@@ -319,7 +319,7 @@ def optimal_q(psne: PsneSet, data: Dataset) -> tuple[float, bool]:
     unconstrained minimizer s/m)."""
     if data.m == 0:
         raise InputError("cannot fit q on an empty dataset")
-    s = int(np.isin(data.indices, psne.as_array()).sum())
+    s = data.count_in(psne)
     q, clamped = _clamp_q(s / data.m, float(len(psne)), float(data.space.joint_size))
     return float(q), bool(clamped)
 

@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .bounds import fano_error_lower_bound
 from .errors import ConfigError
-from .estimator import CandidateFamily, enumerate_psne_sets, fit_mle
+from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_mle
 from .games import ActionSpace, PsneSet, encode_joint_action
 from .influence import all_influence_sets, influence_game, influence_psne, map_decoder
-from .mixture import MixtureModel, expected_nll, mixture_interval
+from .mixture import MixtureModel, check_joint_size, expected_nll, mixture_interval
 
 KINDS = ("recovery", "gap", "fano")
 ENUMERATE_PI_LIMIT = 10_000
@@ -37,7 +37,7 @@ class ExperimentConfig:
     n: int = 4
     k: int = 3
     action_sizes: tuple[int, ...] = ()
-    grid: tuple[float, ...] = (-1.0, 0.0, 1.0)
+    grid: tuple[float, ...] = DEFAULT_GRID
     q_star: float = 0.7
     m_schedule: tuple[int, ...] = (1, 10, 100, 1000)
     trials: int = 20
@@ -258,6 +258,7 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     sizes = config.sizes
     space = ActionSpace(sizes)
     size = space.joint_size
+    check_joint_size(size, ConfigError)
     q = config.fano_q if config.fano_q is not None else 2.0 / size
     if q not in mixture_interval(1, size):
         raise ConfigError(f"fano mixture weight q={q} inadmissible for |A|={size}")

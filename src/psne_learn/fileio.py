@@ -239,36 +239,32 @@ def read_results_json(path: str) -> ResultTable:
 
 # -- experiment configuration --------------------------------------------
 
-_LIST_KEYS = {"actions", "grid", "m_schedule", "truth_psne"}
-_CONFIG_KEYS = {
-    "kind": str,
-    "n": int,
-    "k": int,
-    "actions": int,
-    "grid": float,
-    "q": float,
-    "m_schedule": int,
-    "trials": int,
-    "seed": int,
-    "delta": float,
-    "truth_psne": int,
-    "fano_q": float,
-}
-_FIELD_FOR_KEY = {
-    "actions": "action_sizes",
-    "q": "q_star",
-}
+def parse_list(cast):
+    """A parser of comma-separated `cast` values; blank parts are skipped."""
+
+    def parse(text: str) -> tuple:
+        return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
+
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
-def _parse_value(key: str, raw: str, problems: list[str]):
-    caster = _CONFIG_KEYS[key]
-    try:
-        if key in _LIST_KEYS:
-            return tuple(caster(part.strip()) for part in raw.split(",") if part.strip())
-        return caster(raw.strip())
-    except ValueError:
-        problems.append(f"cannot parse {key}={raw!r} as {caster.__name__}")
-        return None
+# every experiment setting: config-file key (also the `experiment` flag,
+# with "_" written "-") -> (ExperimentConfig field, parser, help)
+EXPERIMENT_KEYS = {
+    "kind": ("kind", str, "recovery, gap, or fano"),
+    "n": ("n", int, "number of players"),
+    "k": ("k", int, "max parents per player"),
+    "actions": ("action_sizes", parse_list(int), "action counts, e.g. 2,3,2 (default all 2)"),
+    "grid": ("grid", parse_list(float), "payoff grid, e.g. -1,0,1"),
+    "q": ("q_star", float, "true signal level"),
+    "m_schedule": ("m_schedule", parse_list(int), "increasing sample sizes"),
+    "trials": ("trials", int, "trials per sample size"),
+    "seed": ("seed", int, "master seed"),
+    "delta": ("delta", float, "gap quantile is 1 - delta"),
+    "truth_psne": ("truth_psne", parse_list(int), "joint indices of the truth"),
+    "fano_q": ("fano_q", float, "override the 2/|A| default"),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -283,7 +279,7 @@ def read_config_file(path: str) -> dict[str, str]:
             problems.append(f"{path}:{lineno}: expected key = value, got {text!r}")
             continue
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in EXPERIMENT_KEYS:
             problems.append(f"{path}:{lineno}: unknown key {key!r}")
             continue
         if key in values:
@@ -307,16 +303,18 @@ def parse_config(
     fields: dict[str, object] = {}
     if path is not None:
         for key, raw in read_config_file(path).items():
-            value = _parse_value(key, raw, problems)
-            if value is not None:
-                fields[_FIELD_FOR_KEY.get(key, key)] = value
+            field, parse, _ = EXPERIMENT_KEYS[key]
+            try:
+                fields[field] = parse(raw)
+            except ValueError:
+                problems.append(f"cannot parse {key}={raw!r} as {parse.__name__}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in EXPERIMENT_KEYS:
             problems.append(f"unknown configuration key {key!r}")
             continue
-        fields[_FIELD_FOR_KEY.get(key, key)] = value
+        fields[EXPERIMENT_KEYS[key][0]] = value
     if "kind" not in fields:
         problems.append("missing required key: kind")
     if problems:

@@ -12,12 +12,13 @@ from the uniform distribution.  The scaled negative log-likelihood divides
 by c = ln(2|A|^2) so each per-observation loss lands in [0, 1].
 
 All log-likelihood arithmetic happens on set cardinalities in log space;
-the joint-space size never needs to fit in a float.
+only the q interval's float endpoints need |A| within float range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,15 @@ class MixtureInterval:
         return self.lower < q <= self.upper
 
 
+def check_joint_size(joint_size: int, error: type[Exception] = InputError) -> None:
+    """Reject a joint space past float range, where the q interval's
+    endpoints |NE|/|A| and 1 - 1/(2|A|) cannot be formed."""
+    if joint_size > sys.float_info.max:
+        raise error(f"joint size of {int(joint_size).bit_length()} bits is past float range")
+
+
 def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
+    check_joint_size(joint_size)
     if not 1 <= psne_size <= joint_size - 1:
         raise InputError(
             f"PSNE size {psne_size} must lie in 1..{joint_size - 1} "
@@ -99,6 +108,10 @@ class Dataset:
     def m(self) -> int:
         return int(self.indices.size)
 
+    def count_in(self, psne: PsneSet) -> int:
+        """Number of observations inside a PSNE set."""
+        return int(np.isin(self.indices, psne.as_array()).sum())
+
     def __len__(self) -> int:
         return self.m
 
@@ -124,7 +137,6 @@ class MixtureModel:
         "space",
         "psne",
         "q",
-        "interval",
         "scale",
         "log_in",
         "log_out",
@@ -144,7 +156,6 @@ class MixtureModel:
         self.space = space
         self.psne = psne
         self.q = q
-        self.interval = interval
         self.scale = nll_scale(space)
         r = len(psne)
         self.log_in = math.log(q) - math.log(r)
@@ -212,7 +223,7 @@ class MixtureModel:
             raise InputError("empirical NLL of an empty dataset is undefined")
         if data.space.counts != self.space.counts:
             raise InputError("dataset and model action spaces differ")
-        s = int(np.isin(data.indices, self.psne.as_array()).sum())
+        s = data.count_in(self.psne)
         return (s * self.in_set_nll + (data.m - s) * self.out_set_nll) / data.m
 
 

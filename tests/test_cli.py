@@ -3,8 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from psne_learn import cli
 from psne_learn.cli import main
-from psne_learn.fileio import read_dataset, read_family, read_fit
+from psne_learn.experiments import ExperimentConfig, ResultTable
+from psne_learn.fileio import EXPERIMENT_KEYS, read_dataset, read_family, read_fit
+
+# a joint-action count past float range
+HUGE_JOINT = "1" + "0" * 400
 
 
 def run(capsys, *argv):
@@ -117,6 +122,17 @@ class TestTheory:
         assert payload["m_sufficient"] == 1798
         assert set(payload) == {"kl", "m_sufficient", "fano_bound"}
 
+    def test_echo_lists_every_option(self, capsys):
+        code, _, err = run(
+            capsys, "theory", "--beta", "--r", "2", "--q", "0.75", "--joint", "4"
+        )
+        assert code == 0
+        echo = json.loads(err.splitlines()[0].removeprefix("config: "))
+        assert echo["subcommand"] == "theory"
+        assert (echo["r"], echo["q"], echo["joint"]) == (2, 0.75, 4)
+        assert echo["eps"] is None and echo["fano_kl"] is False
+        assert "func" not in echo
+
     def test_missing_selector(self, capsys):
         code, _, err = run(capsys, "theory")
         assert code == 2 and "input error" in err
@@ -131,8 +147,11 @@ class TestTheory:
         [
             ("--beta", "--r", "1", "--q", "0.5", "--joint", "4"),
             ("--fano-bound", "--m", "5", "--n", "3", "--k", "1", "--joint", "0"),
+            ("--beta", "--r", "2", "--q", "0.75", "--joint", HUGE_JOINT),
+            ("--fano-kl", "--q", "0.5", "--joint", HUGE_JOINT),
+            ("--fano-bound", "--m", "5", "--n", "3", "--k", "1", "--joint", HUGE_JOINT),
         ],
-        ids=["beta", "fano-bound"],
+        ids=["beta", "fano-bound", "beta-huge", "fano-kl-huge", "fano-bound-huge"],
     )
     def test_domain_error_maps_to_input_exit(self, capsys, argv):
         code, _, err = run(capsys, "theory", *argv)
@@ -170,6 +189,16 @@ class TestExperiment:
         )
         assert code == 3
         assert "configuration error" in err and str(config_path) in err
+        assert "Traceback" not in err
+
+    def test_joint_space_past_float_range(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "experiment", "--kind", "fano", "--n", "1100", "--k", "1",
+            "--m-schedule", "0", "--trials", "1", "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 3
+        assert "configuration error" in err and "float range" in err
         assert "Traceback" not in err
 
     def test_capacity_error_exit_code(self, tmp_path, capsys):
@@ -210,3 +239,81 @@ class TestParsing:
         )
         assert code == 4
         assert "capacity error" in err
+
+
+# one value per experiment setting, each different from its default
+SETTING_VALUES = {
+    "kind": "gap",
+    "n": "5",
+    "k": "2",
+    "actions": "2,3,2,2",
+    "grid": "-1,0.5,1",
+    "q": "0.8",
+    "m_schedule": "2,20",
+    "trials": "3",
+    "seed": "7",
+    "delta": "0.05",
+    "truth_psne": "0,5",
+    "fano_q": "0.25",
+}
+
+
+def resolve(monkeypatch, tmp_path, argv) -> ExperimentConfig:
+    """The ExperimentConfig `experiment argv` resolves, without running it."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        return ResultTable((), {})
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    assert main(["experiment", *argv, "--out", str(tmp_path / "r.csv")]) == 0
+    return seen[0]
+
+
+class TestOneTable:
+    def test_values_cover_every_key(self):
+        assert SETTING_VALUES.keys() == EXPERIMENT_KEYS.keys()
+
+    @pytest.mark.parametrize("key", list(SETTING_VALUES))
+    def test_file_key_equals_flag(self, monkeypatch, tmp_path, capsys, key):
+        base = "" if key == "kind" else "kind = recovery\n"
+        with_key = tmp_path / "with_key.cfg"
+        with_key.write_text(f"{base}{key} = {SETTING_VALUES[key]}\n")
+        without = tmp_path / "without.cfg"
+        without.write_text(base)
+        flag = f"--{key.replace('_', '-')}"
+        from_file = resolve(monkeypatch, tmp_path, ["--config", str(with_key)])
+        from_flag = resolve(
+            monkeypatch, tmp_path, ["--config", str(without), flag, SETTING_VALUES[key]]
+        )
+        assert from_file == from_flag
+        field = EXPERIMENT_KEYS[key][0]
+        default = ExperimentConfig(kind="recovery")
+        assert getattr(from_flag, field) != getattr(default, field)
+
+    @pytest.mark.parametrize("key", ["actions", "grid", "m_schedule", "truth_psne"])
+    def test_bad_list_value(self, tmp_path, capsys, key):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"kind = recovery\n{key} = 1,x\n")
+        code, _, err = run(
+            capsys, "experiment", "--config", str(config), "--out", str(tmp_path / "r.csv")
+        )
+        assert code == 3
+        assert "configuration error" in err and key in err
+        flag = f"--{key.replace('_', '-')}"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--kind", "recovery", flag, "1,x", "--out", "r.csv"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("enumerate",), ("sample",), ("fit",), ("theory",), ("experiment",)],
+        ids=["top", "enumerate", "sample", "fit", "theory", "experiment"],
+    )
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: psne-learn" in capsys.readouterr().out
