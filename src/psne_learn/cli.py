@@ -18,8 +18,11 @@ import re
 import sys
 from dataclasses import asdict, fields
 
-# let values like "-1,0,1" pass as arguments rather than option strings
-_NUMERIC_LIST = re.compile(r"^-\d+(\.\d+)?(,-?\d+(\.\d+)?)*$")
+# let values like "-1,0,1", "-1e-3,0,1" or "-.5,1" pass as arguments rather
+# than option strings: comma-separated decimals, each with an optional sign,
+# leading dot and exponent, the first one negative
+_NUMBER = r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NUMERIC_LIST = re.compile(rf"^(?=-){_NUMBER}(,{_NUMBER})*$")
 
 from . import __version__
 from .errors import CapacityError, ConfigError, InputError

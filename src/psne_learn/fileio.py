@@ -110,18 +110,28 @@ def read_game(path: str) -> PolymatrixGame:
 # -- datasets ----------------------------------------------------------
 
 def write_dataset(path: str, data: Dataset) -> None:
+    """Write one CSV row of 1-based actions per observation, in sample order.
+
+    Each distinct observed joint action is formatted once; the rows are
+    then laid out by each observation's slot among the distinct ones.
+    """
     header = ",".join(f"player_{p}" for p in range(1, data.space.n + 1))
-    lines = [header]
-    for row in data.actions_matrix():
-        lines.append(",".join(str(int(a)) for a in row))
+    distinct, slots = np.unique(data.indices, return_inverse=True)
+    texts = [
+        ",".join(map(str, row))
+        for row in Dataset(data.space, distinct).actions_matrix().tolist()
+    ]
+    lines = [header, *map(texts.__getitem__, slots.tolist())]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_dataset(path: str, space: ActionSpace | None = None) -> Dataset:
     """Parse an observations CSV; malformed content names its line number.
 
-    Without an explicit action space, per-player sizes are inferred as the
-    larger of 2 and the largest action seen in each column.
+    Each distinct row is parsed and checked once, at its first appearance,
+    so the first malformed row in file order is the one reported.  Without
+    an explicit action space, per-player sizes are inferred as the larger
+    of 2 and the largest action seen in each column.
     """
     reader = csv.reader(_read_lines(path, InputError))
     header = next(reader, None)
@@ -133,34 +143,39 @@ def read_dataset(path: str, space: ActionSpace | None = None) -> Dataset:
         raise InputError(f"{path}:1: header must be player_1..player_n, got {header}")
     if space is not None and space.n != n:
         raise InputError(f"{path}:1: header has {n} players, expected {space.n}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
+    slot_of: dict[tuple[str, ...], int] = {}
+    distinct: list[list[int]] = []
+    slots: list[int] = []
+    for row in reader:
         if not row:
             continue
-        if len(row) != n:
-            raise InputError(
-                f"{path}:{lineno}: expected {n} cells, got {len(row)}"
-            )
-        try:
-            actions = [int(cell) for cell in row]
-        except ValueError:
-            raise InputError(
-                f"{path}:{lineno}: non-integer action in {row}"
-            ) from None
-        for p, a in enumerate(actions, start=1):
-            limit = space.counts[p - 1] if space is not None else None
-            if a < 1 or (limit is not None and a > limit):
-                raise InputError(
-                    f"{path}:{lineno}: action {a} for player {p} out of range"
-                )
-        rows.append(actions)
+        key = tuple(row)
+        slot = slot_of.get(key)
+        if slot is None:
+            # reader.line_num is the row's last line, also after a quoted
+            # cell that spans lines
+            where = f"{path}:{reader.line_num}"
+            if len(row) != n:
+                raise InputError(f"{where}: expected {n} cells, got {len(row)}")
+            try:
+                actions = [int(cell) for cell in row]
+            except ValueError:
+                raise InputError(f"{where}: non-integer action in {row}") from None
+            for p, a in enumerate(actions, start=1):
+                limit = space.counts[p - 1] if space is not None else None
+                if a < 1 or (limit is not None and a > limit):
+                    raise InputError(f"{where}: action {a} for player {p} out of range")
+            slot = slot_of[key] = len(distinct)
+            distinct.append(actions)
+        slots.append(slot)
     if space is None:
-        arr = np.asarray(rows, dtype=np.int64)
+        arr = np.asarray(distinct, dtype=np.int64)
         counts = (
-            tuple(max(2, int(c)) for c in arr.max(axis=0)) if rows else (2,) * n
+            tuple(max(2, int(c)) for c in arr.max(axis=0)) if distinct else (2,) * n
         )
         space = ActionSpace(counts)
-    return Dataset.from_actions(space, rows)
+    indices = Dataset.from_actions(space, distinct).indices
+    return Dataset(space, indices[np.asarray(slots, dtype=np.int64)])
 
 
 # -- candidate families and fits ----------------------------------------

@@ -6,6 +6,7 @@ library's equilibrium or likelihood code paths, so agreement is evidence
 rather than tautology.
 """
 
+import csv
 import itertools
 import math
 import os
@@ -18,6 +19,8 @@ from psne_learn import (
     ActionSpace,
     CandidateFamily,
     CapacityError,
+    Dataset,
+    InputError,
     MixtureModel,
     PolymatrixGame,
     PsneSet,
@@ -286,6 +289,55 @@ def masked_sample_indices(model, m, seed):
     shifted = ne - np.arange(r, dtype=np.int64)
     idx[~signal] = ranks + np.searchsorted(shifted, ranks, side="right")
     return idx
+
+
+def per_row_dataset_text(data):
+    """The dataset CSV text formatted row by row, cell by cell: the bytes
+    `write_dataset` must reproduce."""
+    header = ",".join(f"player_{p}" for p in range(1, data.space.n + 1))
+    lines = [header]
+    for row in data.actions_matrix():
+        lines.append(",".join(str(int(a)) for a in row))
+    return "\n".join(lines) + "\n"
+
+
+def per_row_read_dataset(path, space=None):
+    """The dataset CSV parsed and range-checked row by row, with no cache:
+    the result and the first error `read_dataset` must reproduce."""
+    with open(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}:1: missing header row")
+        n = len(header)
+        expected = [f"player_{p}" for p in range(1, n + 1)]
+        if header != expected or n == 0:
+            raise InputError(f"{path}:1: header must be player_1..player_n, got {header}")
+        if space is not None and space.n != n:
+            raise InputError(f"{path}:1: header has {n} players, expected {space.n}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != n:
+                raise InputError(f"{path}:{lineno}: expected {n} cells, got {len(row)}")
+            try:
+                actions = [int(cell) for cell in row]
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: non-integer action in {row}") from None
+            for p, a in enumerate(actions, start=1):
+                limit = space.counts[p - 1] if space is not None else None
+                if a < 1 or (limit is not None and a > limit):
+                    raise InputError(
+                        f"{path}:{lineno}: action {a} for player {p} out of range"
+                    )
+            rows.append(actions)
+    if space is None:
+        arr = np.asarray(rows, dtype=np.int64)
+        counts = tuple(max(2, int(c)) for c in arr.max(axis=0)) if rows else (2,) * n
+        space = ActionSpace(counts)
+    return Dataset.from_actions(space, rows)
 
 
 def brute_expected_nll(model, truth):

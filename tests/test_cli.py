@@ -100,6 +100,20 @@ class TestPipeline:
         assert "input error" in err and "Traceback" not in err
 
 
+    def test_fit_names_the_line_after_a_multiline_cell(self, tmp_path, capsys):
+        family_path = str(tmp_path / "family.json")
+        run(capsys, "enumerate", "--n", "3", "--k", "0", "--out", family_path)
+        data_path = tmp_path / "data.csv"
+        data_path.write_text('player_1,player_2,player_3\n"1\n",2,1\n1,2,9\n')
+        code, _, err = run(
+            capsys,
+            "fit", "--family", family_path, "--data", str(data_path),
+            "--out", str(tmp_path / "fit.json"),
+        )
+        assert code == 2
+        assert f"{data_path}:4: action 9 for player 3 out of range" in err
+
+
 class TestTheory:
     def test_single_quantity(self, capsys):
         code, out, _ = run(
@@ -225,6 +239,10 @@ class TestExperiment:
         assert ".tmp-" not in err
 
 
+# a first list value that is negative in exponent or leading-dot form
+NEGATIVE_GRIDS = {"-1e-3,0,1": [-0.001, 0.0, 1.0], "-.5,1": [-0.5, 1.0]}
+
+
 class TestParsing:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -239,6 +257,29 @@ class TestParsing:
         )
         assert code == 4
         assert "capacity error" in err
+
+    @pytest.mark.parametrize("grid", list(NEGATIVE_GRIDS))
+    def test_enumerate_negative_grid(self, tmp_path, capsys, grid):
+        code, _, err = run(
+            capsys,
+            "enumerate", "--n", "2", "--k", "1", "--grid", grid,
+            "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 0
+        echo = json.loads(err.splitlines()[0].removeprefix("config: "))
+        assert echo["grid"] == NEGATIVE_GRIDS[grid]
+
+    @pytest.mark.parametrize("grid", list(NEGATIVE_GRIDS))
+    def test_experiment_negative_grid(self, monkeypatch, tmp_path, capsys, grid):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: ResultTable((), {}))
+        code, _, err = run(
+            capsys,
+            "experiment", "--kind", "recovery", "--grid", grid,
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 0
+        echo = json.loads(err.splitlines()[0].removeprefix("config: "))
+        assert echo["grid"] == NEGATIVE_GRIDS[grid]
 
 
 # one value per experiment setting, each different from its default

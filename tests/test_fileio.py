@@ -31,6 +31,8 @@ from psne_learn.fileio import (
     write_results,
 )
 
+from helpers import per_row_dataset_text, per_row_read_dataset
+
 SPACE4 = ActionSpace((2, 2))
 
 
@@ -108,6 +110,101 @@ class TestDatasetRoundTrip:
         path.write_text("player_1,player_2\n1,3\n2,1\n")
         data = read_dataset(str(path))
         assert data.space.counts == (2, 3)
+
+    def test_line_number_after_multiline_cell(self, tmp_path):
+        # the quoted "1\n" spans lines 2-3, so the bad row is on line 4
+        path = tmp_path / "data.csv"
+        path.write_text('player_1,player_2,player_3\n"1\n",2,1\n1,2,9\n')
+        message = f"{path}:4: action 9 for player 3 out of range"
+        for reader in (read_dataset, per_row_read_dataset):
+            with pytest.raises(InputError) as err:
+                reader(str(path), ActionSpace((2, 2, 2)))
+            assert str(err.value) == message
+
+
+def _read_outcome(reader, path, space):
+    """What a dataset reader makes of a file: its InputError text, or the
+    dataset's space and indices."""
+    try:
+        data = reader(str(path), space)
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("data", data.space.counts, data.indices.tolist())
+
+
+class TestDatasetOracles:
+    """`write_dataset` and `read_dataset` work once per distinct joint
+    action; the per-row oracles in helpers work once per row."""
+
+    def spaces(self, rng):
+        fixed = [(2,), (2, 2), (12, 3), (2, 10, 4)]
+        drawn = [
+            tuple(int(s) for s in rng.integers(2, 6, size=int(rng.integers(1, 6))))
+            for _ in range(4)
+        ]
+        return [ActionSpace(sizes) for sizes in fixed + drawn]
+
+    def test_matches_per_row_oracles(self, tmp_path):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "data.csv"
+        for space in self.spaces(rng):
+            joint = space.joint_size
+            for m in (0, 1, 1000):
+                # indices over the whole space, or over a few distinct ones
+                for width in (joint, min(3, joint)):
+                    pool = rng.choice(joint, size=width, replace=False)
+                    data = Dataset(space, rng.choice(pool, size=m))
+                    write_dataset(str(path), data)
+                    assert path.read_bytes() == per_row_dataset_text(data).encode()
+                    assert read_dataset(str(path), space) == data
+                    for given in (space, None):
+                        assert read_dataset(str(path), given) == per_row_read_dataset(
+                            str(path), given
+                        )
+
+
+# header player_1..player_3 against the space (3, 2, 12):
+# id -> (rows after the header, error line with the space, error line without)
+MALFORMED = {
+    "arity": ("1,2,3\n1,2\n", 3, 3),
+    "non-integer": ("1,2,3\n1,x,3\n", 3, 3),
+    "zero": ("1,2,3\n0,1,1\n", 3, 3),
+    "negative": ("1,2,3\n1,1,-4\n", 3, 3),
+    "above-space": ("1,2,3\n1,2,13\n", 3, None),
+    "after-repeats": ("1,2,3\n" * 500 + "3,1,x\n", 502, 502),
+    "repeated-bad": ("1,2,3\n0,1,1\n1,2,3\n1,2,3\n0,1,1\n", 3, 3),
+    "repeated-above-space": ("1,2,3\n1,2,13\n1,2,3\n1,2,13\n", 3, None),
+    "good-then-bad-after-blank": ("1,2,3\n\n1,2,3\n\n3,3,1\n", 6, None),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_rows_match_per_row_oracle(tmp_path, case):
+    rows, line_with_space, line_without = MALFORMED[case]
+    path = tmp_path / "data.csv"
+    path.write_text("player_1,player_2,player_3\n" + rows)
+    for space, line in ((ActionSpace((3, 2, 12)), line_with_space), (None, line_without)):
+        outcome = _read_outcome(read_dataset, path, space)
+        assert outcome == _read_outcome(per_row_read_dataset, path, space)
+        if line is None:
+            assert outcome[0] == "data"
+        else:
+            assert outcome[0] == "error"
+            assert outcome[1].startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize(
+    "content", ["", "p1,p2,p3\n1,1,1\n", "player_1,player_2\n1,1\n"],
+    ids=["empty", "bad-header", "header-arity"],
+)
+def test_malformed_header_matches_per_row_oracle(tmp_path, content):
+    path = tmp_path / "data.csv"
+    path.write_text(content)
+    for space in (ActionSpace((3, 2, 12)), None):
+        outcome = _read_outcome(read_dataset, path, space)
+        assert outcome == _read_outcome(per_row_read_dataset, path, space)
+        if space is not None:
+            assert outcome[0] == "error" and outcome[1].startswith(f"{path}:1: ")
 
 
 class TestFamilyAndFit:
