@@ -26,13 +26,7 @@ _NUMERIC_LIST = re.compile(rf"^(?=-){_NUMBER}(,{_NUMBER})*$")
 
 from . import __version__
 from .errors import CapacityError, ConfigError, InputError
-from .estimator import (
-    DEFAULT_FAMILY_JOINT_CEILING,
-    DEFAULT_GAME_CEILING,
-    DEFAULT_GRID,
-    enumerate_psne_sets,
-    fit_mle,
-)
+from .estimator import DEFAULT_GRID, enumerate_psne_sets, family_sizes, fit_mle
 from .bounds import (
     fano_error_lower_bound,
     fano_pair_kl,
@@ -69,16 +63,9 @@ def _options(args) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
-    actions = args.actions or (2,) * args.n
+    actions = family_sizes(args.n, args.actions or ())
     _echo({**_options(args), "actions": actions})
-    family = enumerate_psne_sets(
-        args.n,
-        args.k,
-        actions,
-        args.grid,
-        joint_ceiling=args.joint_ceiling,
-        game_ceiling=args.game_ceiling,
-    )
+    family = enumerate_psne_sets(args.n, args.k, actions, args.grid)
     write_family(args.out, family)
     print(f"wrote {len(family)} candidate PSNE sets to {args.out}", file=sys.stderr)
     return 0
@@ -172,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="max parents per player")
     p.add_argument("--actions", type=parse_list(int), help="sizes, e.g. 2,2 (default all 2)")
     p.add_argument("--grid", type=parse_list(float), default=DEFAULT_GRID)
-    p.add_argument("--joint-ceiling", type=int, default=DEFAULT_FAMILY_JOINT_CEILING)
-    p.add_argument("--game-ceiling", type=int, default=DEFAULT_GAME_CEILING)
     p.add_argument("--out", required=True, help="family JSON path")
     p.set_defaults(func=_cmd_enumerate)
 

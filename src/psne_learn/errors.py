@@ -14,4 +14,12 @@ class ConfigError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A requested computation exceeds a configured size ceiling."""
+    """A requested computation exceeds a size ceiling."""
+
+
+def check_capacity(stage: str, count: int, ceiling: int, unit: str) -> None:
+    """Raise CapacityError naming the stage, the count it reached (by bit
+    length past 1024 bits, too long to print) and the ceiling it passed."""
+    if count > ceiling:
+        shown = count if count < 2**1024 else f"a {count.bit_length()}-bit count of"
+        raise CapacityError(f"{stage} reached {shown} {unit}, ceiling is {ceiling}")

@@ -20,17 +20,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
-from .games import ActionSpace, PsneSet, _best_response_table
+from .errors import InputError, check_capacity
+from .games import ActionSpace, PsneSet, _best_response_table, bounded_joint_size
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
-DEFAULT_GAME_CEILING = 10_000_000
+# joint actions a family build may span
+FAMILY_JOINT_CEILING = 2**16
+# per-player grid assignments the region build may walk, over all players
+GAME_CEILING = 10_000_000
 # partial PSNE sets one player round of the family build may reach
 PARTIAL_SET_CEILING = 4_000_000
 # payoff cells plus joint cells one chunk of the region build may hold
 REGION_CHUNK_ELEMENTS = 1 << 16
-DEFAULT_FAMILY_JOINT_CEILING = 2**16
+# sets `all_subsets_family` may list
+SUBSET_CEILING = 2_000_000
 # the infimum at the open lower endpoint of the q interval is not attained;
 # clamp this far above it so the estimator stays total
 LOWER_CLAMP_OFFSET = 1e-9
@@ -211,14 +215,16 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
     return rows
 
 
+def family_sizes(n: int, action_sizes=()) -> tuple[int, ...]:
+    """`action_sizes`, or 2 for each of n players when none are given; raises
+    CapacityError, before they are formed, past FAMILY_JOINT_CEILING."""
+    size = bounded_joint_size(n, tuple(action_sizes), FAMILY_JOINT_CEILING)
+    check_capacity("family joint space", size, FAMILY_JOINT_CEILING, "joint actions")
+    return tuple(action_sizes) or (2,) * n
+
+
 def enumerate_psne_sets(
-    n: int,
-    k: int,
-    action_sizes,
-    grid=DEFAULT_GRID,
-    *,
-    joint_ceiling: int = DEFAULT_FAMILY_JOINT_CEILING,
-    game_ceiling: int = DEFAULT_GAME_CEILING,
+    n: int, k: int, action_sizes, grid=DEFAULT_GRID
 ) -> CandidateFamily:
     """Every PSNE set realizable by a grid game under the parent budget.
 
@@ -234,42 +240,31 @@ def enumerate_psne_sets(
     REGION_CHUNK_ELEMENTS (see `_player_regions`).  Each region and each
     partial PSNE set is an int bitmask over the joint space (bit x is joint
     index x), so a set intersection is one `&` at any width, and a Python
-    set dedupes the partial sets of each player round.  Raises
-    CapacityError when a round exceeds PARTIAL_SET_CEILING sets.
+    set dedupes the partial sets of each player round.  Sizes resolve
+    through `family_sizes` (empty means 2 per player); CapacityError is
+    raised past its ceiling, GAME_CEILING or a round's PARTIAL_SET_CEILING.
     """
-    sizes = _check_class_params(n, k, action_sizes)
+    sizes = _check_class_params(n, k, family_sizes(n, action_sizes))
     grid = _normalize_grid(grid)
     space = ActionSpace(sizes)
-    if space.joint_size > joint_ceiling:
-        raise CapacityError(
-            f"joint space has {space.joint_size} actions, "
-            f"family ceiling is {joint_ceiling}"
-        )
     label = (
         f"grid-games(n={n}, k={k}, actions={','.join(map(str, sizes))}, "
         f"grid={','.join(repr(v) for v in grid)})"
     )
-    per_player_structures = sum(
+    structures = sum(
         _player_structure_count(n, k, sizes, grid, i) for i in range(1, n + 1)
     )
-    if per_player_structures > game_ceiling:
-        raise CapacityError(
-            f"region enumeration needs {per_player_structures} per-player grid "
-            f"assignments, ceiling is {game_ceiling}"
-        )
+    check_capacity("region build", structures, GAME_CEILING, "grid assignments")
     size = space.joint_size
     full = (1 << size) - 1
     partial = {full}
     for i in range(1, n + 1):
         regions = _player_regions(n, k, sizes, grid, i, space)
+        stage = f"player {i} round"
         merged = set()
         for row in partial:
             merged.update([row & r for r in regions])
-            if len(merged) > PARTIAL_SET_CEILING:
-                raise CapacityError(
-                    f"player {i} round reached {len(merged)} partial PSNE sets, "
-                    f"ceiling is {PARTIAL_SET_CEILING}"
-                )
+            check_capacity(stage, len(merged), PARTIAL_SET_CEILING, "partial PSNE sets")
         partial = merged
     nbytes = (size + 7) // 8
     candidates = []
@@ -281,18 +276,16 @@ def enumerate_psne_sets(
     return CandidateFamily(space, candidates, label)
 
 
-def all_subsets_family(
-    action_sizes, max_size: int, *, ceiling: int = 2_000_000
-) -> CandidateFamily:
-    """All PSNE sets up to a size cap, independent of realizability."""
+def all_subsets_family(action_sizes, max_size: int) -> CandidateFamily:
+    """All PSNE sets up to a size cap, independent of realizability; at
+    most SUBSET_CEILING of them."""
     space = ActionSpace(tuple(action_sizes))
     size = space.joint_size
     max_size = min(int(max_size), size - 1)
     if max_size < 1:
         raise InputError("max_size must be at least 1")
     total = sum(math.comb(size, s) for s in range(1, max_size + 1))
-    if total > ceiling:
-        raise CapacityError(f"family would contain {total} sets, ceiling {ceiling}")
+    check_capacity("all-subsets family", total, SUBSET_CEILING, "sets")
     candidates = [
         PsneSet(combo)
         for s in range(1, max_size + 1)

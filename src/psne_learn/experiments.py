@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import fano_error_lower_bound
 from .errors import ConfigError
 from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_mle
-from .games import ActionSpace, PsneSet, encode_joint_action
+from .games import ActionSpace, PsneSet, bounded_joint_size, encode_joint_action
 from .influence import all_influence_sets, influence_game, influence_psne, map_decoder
 from .mixture import MixtureModel, check_joint_size, expected_nll, mixture_interval
 
@@ -59,11 +59,9 @@ class ExperimentConfig:
             problems.append(f"n must be at least 2, got {self.n}")
         if not 0 <= self.k <= max(self.n - 1, 0):
             problems.append(f"k={self.k} outside 0..{self.n - 1}")
-        sizes = self.action_sizes or (2,) * self.n
-        if len(sizes) != self.n:
-            problems.append(
-                f"{len(sizes)} action sizes for {self.n} players"
-            )
+        sizes = self.action_sizes
+        if sizes and len(sizes) != self.n:
+            problems.append(f"{len(sizes)} action sizes for {self.n} players")
         if any(s < 2 for s in sizes):
             problems.append(f"action sizes must all be >= 2, got {sizes}")
         if not self.m_schedule:
@@ -178,7 +176,7 @@ def _fit_trials(config: ExperimentConfig):
     Returns the family, the truth, one (m, fits) pair per sample size with
     the fits in trial-index order, and the metadata both harnesses write.
     """
-    family = enumerate_psne_sets(config.n, config.k, config.sizes, config.grid)
+    family = enumerate_psne_sets(config.n, config.k, config.action_sizes, config.grid)
     truth = _choose_truth(config, family)
     trials = []
     for mi, m in enumerate(config.m_schedule):
@@ -255,10 +253,9 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
         raise ConfigError(f"run_fano got a {config.kind!r} config")
     if config.k < 1:
         raise ConfigError("fano runs need k >= 1")
-    sizes = config.sizes
-    space = ActionSpace(sizes)
+    check_joint_size(bounded_joint_size(config.n, config.action_sizes), ConfigError)
+    space = ActionSpace(config.sizes)
     size = space.joint_size
-    check_joint_size(size, ConfigError)
     q = config.fano_q if config.fano_q is not None else 2.0 / size
     if q not in mixture_interval(1, size):
         raise ConfigError(f"fano mixture weight q={q} inadmissible for |A|={size}")
@@ -268,7 +265,7 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     if enumerated:
         pis = all_influence_sets(config.n, config.k)
         instances = {
-            pi: influence_game(config.n, config.k, pi, sizes).psne_index
+            pi: influence_game(config.n, config.k, pi, space.counts).psne_index
             for pi in pis
         }
 

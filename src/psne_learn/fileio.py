@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .estimator import CandidateFamily, FitResult
 from .experiments import ExperimentConfig, ResultRow, ResultTable
-from .games import ActionSpace, PolymatrixGame, PsneSet
-from .mixture import Dataset
+from .games import ActionSpace, PolymatrixGame, PsneSet, bounded_joint_size
+from .mixture import Dataset, check_joint_size
 
 RESULT_COLUMNS = ("m", "metric", "value", "stderr", "trials")
 
@@ -191,8 +191,10 @@ def write_family(path: str, family: CandidateFamily) -> None:
 
 def read_family(path: str) -> CandidateFamily:
     with _json_payload(path, "family") as payload:
+        sizes = tuple(int(s) for s in payload["actions"])
+        check_joint_size(bounded_joint_size(len(sizes), sizes))
         return CandidateFamily(
-            ActionSpace(tuple(int(s) for s in payload["actions"])),
+            ActionSpace(sizes),
             [PsneSet(c) for c in payload["candidates"]],
             str(payload.get("provenance", "explicit list")),
         )

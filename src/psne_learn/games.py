@@ -20,14 +20,18 @@ tuples of per-player actions, or equivalently mixed-radix indices in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import InputError, check_capacity
 
-DEFAULT_JOINT_CEILING = 2**24
+# joint actions `enumerate_psne` may sweep
+JOINT_CEILING = 2**24
+# joint indices one chunk of that sweep holds
+SWEEP_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,6 @@ class ActionSpace:
     def n(self) -> int:
         return len(self.counts)
 
-    def size(self, player: int) -> int:
-        self._check_player(player)
-        return self.counts[player - 1]
-
     def digit(self, index, player: int):
         """Extract player's 0-based action digit from joint indices.
 
@@ -81,6 +81,14 @@ class ActionSpace:
             if not 1 <= a <= s:
                 raise InputError(f"action {a} for player {p + 1} outside 1..{s}")
         return actions
+
+
+def bounded_joint_size(n: int, counts, ceiling=sys.float_info.max) -> int:
+    """|A| for n players with these counts (2 each when none are given), or
+    past `ceiling` (float range by default) a partial product: each count is
+    at least 2, so the first ceiling.bit_length() counts, or n alone, pass it."""
+    bits = int(ceiling).bit_length()
+    return math.prod(map(int, (counts or (2,) * min(n, bits))[:bits]))
 
 
 def encode_joint_action(space: ActionSpace, actions: Sequence[int]) -> int:
@@ -303,33 +311,26 @@ def _best_response_table(
     return payoff == payoff.max(axis=-2, keepdims=True), cstrides
 
 
-def enumerate_psne(
-    game: PolymatrixGame,
-    *,
-    ceiling: int = DEFAULT_JOINT_CEILING,
-    chunk: int = 1 << 20,
-) -> PsneSet:
+def enumerate_psne(game: PolymatrixGame) -> PsneSet:
     """Exact PSNE set of a game, by sweep over the full joint space.
 
     The sweep factors through per-player best-response tables over parent
-    configurations and walks joint indices in fixed-size chunks, so peak
-    memory stays bounded (the joint space must not exceed `ceiling`).  An
-    index leaves its chunk at the first player whose table rejects it, so
+    configurations and walks joint indices in SWEEP_CHUNK-sized chunks, so
+    peak memory stays bounded (the joint space must not exceed JOINT_CEILING).
+    An index leaves its chunk at the first player whose table rejects it, so
     later players see only the survivors, still in ascending order.
     """
     space = game.space
-    if space.joint_size > ceiling:
-        raise CapacityError(
-            f"joint space has {space.joint_size} actions, ceiling is {ceiling}"
-        )
+    size = space.joint_size
+    check_capacity("PSNE sweep", size, JOINT_CEILING, "joint actions")
     grids = []
     for i in range(1, game.n + 1):
         parents = game.neighbors(i)
         tables = [game.pairwise_table(i, j) for j in parents]
         grids.append((parents, *_best_response_table(game.unary_table(i), tables)))
     found: list[np.ndarray] = []
-    for start in range(0, space.joint_size, chunk):
-        idx = np.arange(start, min(start + chunk, space.joint_size), dtype=np.int64)
+    for start in range(0, size, SWEEP_CHUNK):
+        idx = np.arange(start, min(start + SWEEP_CHUNK, size), dtype=np.int64)
         for i, (parents, br, cstrides) in enumerate(grids, start=1):
             cfg = np.zeros(idx.shape, dtype=np.int64)
             for j, cs in zip(parents, cstrides):

@@ -24,8 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_capacity
 from .games import ActionSpace, PsneSet
+
+INDEX_CEILING = 2**63  # samples and datasets hold joint indices 0..|A|-1 as int64
 
 
 def nll_scale(space: ActionSpace) -> float:
@@ -54,7 +56,8 @@ def check_joint_size(joint_size: int, error: type[Exception] = InputError) -> No
     """Reject a joint space past float range, where the q interval's
     endpoints |NE|/|A| and 1 - 1/(2|A|) cannot be formed."""
     if joint_size > sys.float_info.max:
-        raise error(f"joint size of {int(joint_size).bit_length()} bits is past float range")
+        bits = int(joint_size).bit_length()
+        raise error(f"joint size reached {bits} bits, past float range")
 
 
 def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
@@ -82,6 +85,7 @@ class Dataset:
     __slots__ = ("space", "indices")
 
     def __init__(self, space: ActionSpace, indices):
+        check_capacity("int64 indexing", space.joint_size, INDEX_CEILING, "joint actions")
         idx = np.asarray(indices, dtype=np.int64).copy()
         if idx.ndim != 1:
             raise InputError("dataset indices must be one-dimensional")
@@ -93,6 +97,7 @@ class Dataset:
 
     @classmethod
     def from_actions(cls, space: ActionSpace, rows) -> "Dataset":
+        check_capacity("int64 indexing", space.joint_size, INDEX_CEILING, "joint actions")
         arr = np.asarray(rows, dtype=np.int64)
         if arr.size == 0:
             return cls(space, np.zeros(0, dtype=np.int64))
@@ -194,13 +199,15 @@ class MixtureModel:
             raise InputError("sample count must be nonnegative")
         if seed < 0:
             raise InputError(f"seed must be nonnegative, got {seed}")
+        size = self.space.joint_size
+        check_capacity("int64 indexing", size, INDEX_CEILING, "joint actions")
         rng = np.random.default_rng(seed)
         ne = self.psne.as_array()
         r = ne.size
         pos = rng.random(m)
         signal = pos < self.q
         rng.random(out=pos)
-        pos *= np.where(signal, r, self.space.joint_size - r)
+        pos *= np.where(signal, r, size - r)
         idx = pos.astype(np.int64)
         del pos
         # the complement rank c is joint index c plus the PSNE indices it skips

@@ -18,7 +18,6 @@ import psne_learn
 from psne_learn import (
     ActionSpace,
     CandidateFamily,
-    CapacityError,
     Dataset,
     InputError,
     MixtureModel,
@@ -28,9 +27,10 @@ from psne_learn import (
     encode_joint_action,
     enumerate_psne,
 )
+from psne_learn.errors import check_capacity
 from psne_learn.estimator import (
-    DEFAULT_GAME_CEILING,
     DEFAULT_GRID,
+    GAME_CEILING,
     _check_class_params,
     _normalize_grid,
 )
@@ -148,7 +148,7 @@ def player_structures(n, k, sizes, grid, i):
 
 
 def enumerate_grid_games(
-    n, k, action_sizes, grid=DEFAULT_GRID, *, ceiling=DEFAULT_GAME_CEILING
+    n, k, action_sizes, grid=DEFAULT_GRID, *, ceiling=GAME_CEILING
 ):
     """Stream every normalized grid game with at most k parents per player.
 
@@ -158,10 +158,7 @@ def enumerate_grid_games(
     sizes = _check_class_params(n, k, action_sizes)
     grid = _normalize_grid(grid)
     total = count_grid_games(n, k, sizes, grid)
-    if total > ceiling:
-        raise CapacityError(
-            f"grid-game stream would contain {total} games, ceiling is {ceiling}"
-        )
+    check_capacity("grid-game stream", total, ceiling, "games")
     per_player = [
         list(player_structures(n, k, sizes, grid, i)) for i in range(1, n + 1)
     ]

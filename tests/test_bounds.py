@@ -257,6 +257,14 @@ class TestLogBinomial:
                 math.log(math.comb(n, k)), rel=1e-12
             )
 
+    @pytest.mark.parametrize("n, k", [(10**15, 1), (10**18, 3), (10**4, 5000)])
+    def test_large_n_within_1e_9(self, n, k):
+        # log-gamma differences gave 32.0 for ln C(10**15, 1) = 34.54
+        assert log_binomial(n, k) == pytest.approx(math.log(math.comb(n, k)), rel=1e-9)
+
     def test_domain(self):
         with pytest.raises(InputError):
             log_binomial(4, 5)
+        # past the range where log-gamma keeps 1e-9, rather than a wrong value
+        with pytest.raises(InputError, match="past log-gamma's accuracy"):
+            log_binomial(10**8, 100)

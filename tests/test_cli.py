@@ -1,9 +1,11 @@
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-from psne_learn import cli
+from psne_learn import cli, fano_pair_kl
 from psne_learn.cli import main
 from psne_learn.experiments import ExperimentConfig, ResultTable
 from psne_learn.fileio import EXPERIMENT_KEYS, read_dataset, read_family, read_fit
@@ -252,11 +254,15 @@ class TestParsing:
     def test_enumerate_capacity_exit(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
-            "enumerate", "--n", "2", "--k", "1", "--game-ceiling", "10",
+            "enumerate", "--n", "2", "--k", "1", "--actions", "5,5",
             "--out", str(tmp_path / "f.json"),
         )
         assert code == 4
-        assert "capacity error" in err
+        assert re.search(
+            r"capacity error: region build reached \d+ grid assignments, "
+            r"ceiling is 10000000$",
+            err,
+        )
 
     @pytest.mark.parametrize("grid", list(NEGATIVE_GRIDS))
     def test_enumerate_negative_grid(self, tmp_path, capsys, grid):
@@ -358,3 +364,113 @@ class TestOneTable:
             main([*argv, "--help"])
         assert exit_info.value.code == 0
         assert "usage: psne-learn" in capsys.readouterr().out
+
+
+# n past the index range of a tuple, a joint space past int64, and one
+# past float range over many players
+BIG_N = "99999999999999999999999"
+HUGE_FAMILY = {"actions": [2, 99999999999999999999], "candidates": [[0]]}
+WIDE_FAMILY = {"actions": [2] * 2000, "candidates": [[0]]}
+
+# malformed inputs, each cheap in time and memory: argv, exit code and a
+# piece of the stderr message; {out}, {family}, {wide} and {data} name
+# temp files
+MALFORMED = {
+    "enumerate-n20000": (
+        ["enumerate", "--n", "20000", "--k", "1", "--out", "{out}"],
+        4,
+        "family joint space reached 131072 joint actions, ceiling is 65536",
+    ),
+    "recovery-n20000": (
+        ["experiment", "--kind", "recovery", "--n", "20000", "--k", "1", "--out", "{out}"],
+        4,
+        "family joint space reached 131072 joint actions, ceiling is 65536",
+    ),
+    "enumerate-n-past-index-range": (
+        ["enumerate", "--n", BIG_N, "--k", "1", "--out", "{out}"],
+        4,
+        "family joint space reached 131072 joint actions",
+    ),
+    "enumerate-actions-past-str-range": (
+        ["enumerate", "--n", "2", "--k", "1", "--actions", f"2,{HUGE_JOINT}", "--out", "{out}"],
+        4,
+        "-bit count of joint actions",
+    ),
+    "enumerate-game-ceiling": (
+        ["enumerate", "--n", "2", "--k", "1", "--actions", "5,5", "--out", "{out}"],
+        4,
+        "region build reached",
+    ),
+    "fano-n-past-index-range": (
+        ["experiment", "--kind", "fano", "--n", BIG_N, "--k", "1", "--out", "{out}"],
+        3,
+        "past float range",
+    ),
+    "fano-n64": (
+        ["experiment", "--kind", "fano", "--n", "64", "--k", "30",
+         "--m-schedule", "1", "--trials", "1", "--out", "{out}"],
+        4,
+        "int64 indexing reached 18446744073709551616 joint actions",
+    ),
+    "fano-n70": (
+        ["experiment", "--kind", "fano", "--n", "70", "--k", "35",
+         "--m-schedule", "1", "--trials", "1", "--out", "{out}"],
+        4,
+        "int64 indexing reached",
+    ),
+    "sample-past-int64": (
+        ["sample", "--family", "{family}", "--psne", "0", "--q", "0.5", "--m", "1",
+         "--out", "{out}"],
+        4,
+        "int64 indexing reached",
+    ),
+    "fit-past-int64": (
+        ["fit", "--family", "{family}", "--data", "{data}", "--out", "{out}"],
+        4,
+        "int64 indexing reached",
+    ),
+    "sample-family-past-float-range": (
+        ["sample", "--family", "{wide}", "--psne", "0", "--q", "0.5", "--m", "1",
+         "--out", "{out}"],
+        2,
+        "joint size reached 1025 bits, past float range",
+    ),
+    "fano-bound-past-log-gamma-range": (
+        ["theory", "--fano-bound", "--m", "5", "--n", "100000000000000000",
+         "--k", "100", "--joint", "8"],
+        2,
+        "ln C(n, k) past log-gamma's accuracy needs min(k, n - k) <= 64",
+    ),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_documented_exit_without_traceback(self, tmp_path, capsys, case):
+        argv, expected, message = MALFORMED[case]
+        paths = {
+            "out": str(tmp_path / "out"),
+            "family": str(tmp_path / "family.json"),
+            "wide": str(tmp_path / "wide.json"),
+            "data": str(tmp_path / "data.csv"),
+        }
+        (tmp_path / "family.json").write_text(json.dumps(HUGE_FAMILY))
+        (tmp_path / "wide.json").write_text(json.dumps(WIDE_FAMILY))
+        (tmp_path / "data.csv").write_text("player_1,player_2\n1,1\n")
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code in {2, 3, 4, 5}
+        assert code == expected
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_fano_bound_at_large_n(self, capsys):
+        # ln C(1e17, 1) once cancelled to 0.0 and divided by zero
+        code, out, _ = run(
+            capsys,
+            "theory", "--fano-bound", "--m", "5", "--n", "100000000000000000",
+            "--k", "1", "--joint", "8",
+        )
+        assert code == 0
+        kl = fano_pair_kl(2 / 8, 8)
+        expected = 1 - (5 * kl + math.log(2)) / math.log(10**17)
+        assert json.loads(out)["fano_bound"] == pytest.approx(expected, rel=1e-12)

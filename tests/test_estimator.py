@@ -146,8 +146,22 @@ class TestFamilyEnumeration:
         assert len(keys) == len(set(keys))
 
     def test_joint_ceiling(self):
-        with pytest.raises(CapacityError):
-            enumerate_psne_sets(5, 1, (4, 4, 4, 4, 4), joint_ceiling=512)
+        # judged before any space is formed: the product of the first 17
+        # sizes already passes 2**16
+        with pytest.raises(
+            CapacityError,
+            match=r"^family joint space reached 131072 joint actions, ceiling is 65536$",
+        ):
+            enumerate_psne_sets(17, 1, (2,) * 17)
+
+    def test_joint_ceiling_past_str_range(self):
+        # a count too long for str() is named by its bit length
+        bits = (2 * 10**5000).bit_length()
+        with pytest.raises(
+            CapacityError,
+            match=rf"^family joint space reached a {bits}-bit count of joint actions, ",
+        ):
+            enumerate_psne_sets(2, 1, (2, 10**5000))
 
     def test_family_holds_no_per_candidate_frozenset(self):
         gc.collect()
@@ -217,8 +231,12 @@ class TestFamilyFactories:
         assert family.provenance == "all-subsets(max_size=1)"
 
     def test_all_subsets_capacity(self):
-        with pytest.raises(CapacityError):
-            all_subsets_family((2,) * 8, 4, ceiling=1000)
+        total = sum(math.comb(256, s) for s in range(1, 5))
+        with pytest.raises(
+            CapacityError,
+            match=rf"^all-subsets family reached {total} sets, ceiling is 2000000$",
+        ):
+            all_subsets_family((2,) * 8, 4)
 
     def test_explicit_family_dedupes(self):
         family = explicit_family((2, 2), [[3, 0], [0, 3], [1]])

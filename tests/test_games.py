@@ -171,11 +171,14 @@ class TestEnumeratePsne:
             assert enumerate_psne(game) == brute_psne_set_local(game)
 
     def test_ceiling(self):
-        game = PolymatrixGame([2] * 8)
-        with pytest.raises(CapacityError):
-            enumerate_psne(game, ceiling=100)
+        game = PolymatrixGame([2] * 25)
+        with pytest.raises(
+            CapacityError,
+            match=r"^PSNE sweep reached 33554432 joint actions, ceiling is 16777216$",
+        ):
+            enumerate_psne(game)
 
-    def test_chunking_matches_single_pass(self):
+    def test_chunking_matches_single_pass(self, monkeypatch):
         rng = np.random.default_rng(2)
         games = [random_grid_game(rng, 4, 3, (2, 2, 2, 2), (-1.0, 0.0, 1.0))]
         for _ in range(10):
@@ -198,7 +201,8 @@ class TestEnumeratePsne:
             expected = brute_psne_set_local(game)
             assert enumerate_psne(game) == expected
             for chunk in (1, 3, 7, game.space.joint_size):
-                assert enumerate_psne(game, chunk=chunk) == expected
+                monkeypatch.setattr("psne_learn.games.SWEEP_CHUNK", chunk)
+                assert enumerate_psne(game) == expected
 
 
 def brute_psne_set_local(game):

@@ -5,6 +5,7 @@ import pytest
 
 from psne_learn import (
     ActionSpace,
+    CapacityError,
     Dataset,
     InputError,
     MixtureModel,
@@ -236,3 +237,32 @@ class TestDataset:
             Dataset(SPACE4, [0, 4])
         with pytest.raises(InputError):
             Dataset.from_actions(SPACE4, [(1, 3)])
+
+
+class TestIndexCeiling:
+    """Joint indices are int64: a space past 2**63 joint actions is a
+    capacity error wherever mixture forms them."""
+
+    HUGE = ActionSpace((2, 99999999999999999999))
+    MESSAGE = (
+        r"^int64 indexing reached 199999999999999999998 joint actions, "
+        r"ceiling is 9223372036854775808$"
+    )
+
+    def test_sample(self):
+        model = MixtureModel(self.HUGE, PsneSet([0]), 0.5)
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            model.sample(1, 0)
+
+    def test_dataset(self):
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            Dataset(self.HUGE, [0])
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            Dataset.from_actions(self.HUGE, [[1, 1]])
+
+    def test_largest_space_within(self):
+        space = ActionSpace((2,) * 63)
+        top = 2**63 - 1
+        data = MixtureModel(space, PsneSet([0, top]), 0.5).sample(1000, 3)
+        assert 0 <= data.indices.min() and data.indices.max() <= top
+        assert Dataset(space, [top]).actions_matrix().tolist() == [[2] * 63]
