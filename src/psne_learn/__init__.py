@@ -23,7 +23,6 @@ from .errors import CapacityError, ConfigError, InputError
 from .estimator import (
     CandidateFamily,
     FitResult,
-    all_subsets_family,
     count_grid_games,
     enumerate_psne_sets,
     explicit_family,
@@ -85,7 +84,6 @@ __all__ = [
     "ResultRow",
     "ResultTable",
     "all_influence_sets",
-    "all_subsets_family",
     "count_grid_games",
     "decode_joint_action",
     "embed_binary_weight_game",

@@ -5,10 +5,9 @@ the estimator searches equivalence classes directly: a candidate family is
 a deduplicated collection of PSNE sets, and fitting scans the family for
 the minimum average scaled NLL with q optimized in closed form.
 
-Families come from three sources: exhaustive enumeration of grid-quantized
+Families come from two sources: exhaustive enumeration of grid-quantized
 polymatrix games under a parent budget (the realizable sets, whose count is
-the empirical hypothesis-class size), all subsets up to a size cap, or an
-explicit list.
+the empirical hypothesis-class size) or an explicit list.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ GAME_CEILING = 10_000_000
 PARTIAL_SET_CEILING = 4_000_000
 # payoff cells plus joint cells one chunk of the region build may hold
 REGION_CHUNK_ELEMENTS = 1 << 16
-# sets `all_subsets_family` may list
-SUBSET_CEILING = 2_000_000
 # the infimum at the open lower endpoint of the q interval is not attained;
 # clamp this far above it so the estimator stays total
 LOWER_CLAMP_OFFSET = 1e-9
@@ -274,24 +271,6 @@ def enumerate_psne_sets(
             members = np.unpackbits(bits, count=size, bitorder="little")
             candidates.append(PsneSet(np.flatnonzero(members)))
     return CandidateFamily(space, candidates, label)
-
-
-def all_subsets_family(action_sizes, max_size: int) -> CandidateFamily:
-    """All PSNE sets up to a size cap, independent of realizability; at
-    most SUBSET_CEILING of them."""
-    space = ActionSpace(tuple(action_sizes))
-    size = space.joint_size
-    max_size = min(int(max_size), size - 1)
-    if max_size < 1:
-        raise InputError("max_size must be at least 1")
-    total = sum(math.comb(size, s) for s in range(1, max_size + 1))
-    check_capacity("all-subsets family", total, SUBSET_CEILING, "sets")
-    candidates = [
-        PsneSet(combo)
-        for s in range(1, max_size + 1)
-        for combo in itertools.combinations(range(size), s)
-    ]
-    return CandidateFamily(space, candidates, f"all-subsets(max_size={max_size})")
 
 
 def explicit_family(action_sizes, sets: Iterable[Iterable[int]]) -> CandidateFamily:

@@ -28,6 +28,7 @@ from .errors import InputError, check_capacity
 from .games import ActionSpace, PsneSet
 
 INDEX_CEILING = 2**63  # samples and datasets hold joint indices 0..|A|-1 as int64
+SAMPLE_BLOCK = 1 << 13  # doubles per block of the sampler's reused uniform buffer
 
 
 def nll_scale(space: ActionSpace) -> float:
@@ -189,11 +190,17 @@ class MixtureModel:
     def sample(self, m: int, seed: int) -> Dataset:
         """Draw m observations; bit-identical for identical (m, seed).
 
-        Each sample consumes two uniforms: the first chooses signal vs
-        noise, the second positions within the chosen set (complement
-        positions resolve through a sorted-rank lookup, so the draw count
-        per sample is fixed).  Both draws share one buffer, and no step
-        gathers through a boolean mask.
+        Each sample consumes two uniforms from one generator stream, taken
+        in two passes of SAMPLE_BLOCK doubles through one reused buffer:
+        the first m uniforms become an m-byte signal mask (u < q), the next
+        m are scaled by |A| - |NE| (noise) or |NE| (signal) and truncated to
+        a rank within the chosen set.  When |A| <= m, one table of the
+        complement then the PSNE set maps rank + signal * (|A| - |NE|) to
+        the joint index; otherwise a complement rank resolves through a
+        sorted-rank lookup and a PSNE rank through the set.  Successive
+        block draws are exactly the doubles of one m-draw, and both maps
+        are exact integer lookups of the same ranks, so the indices depend
+        on neither the block size nor the path taken.
         """
         if m < 0:
             raise InputError("sample count must be nonnegative")
@@ -204,16 +211,31 @@ class MixtureModel:
         rng = np.random.default_rng(seed)
         ne = self.psne.as_array()
         r = ne.size
-        pos = rng.random(m)
-        signal = pos < self.q
-        rng.random(out=pos)
-        pos *= np.where(signal, r, size - r)
-        idx = pos.astype(np.int64)
-        del pos
-        # the complement rank c is joint index c plus the PSNE indices it skips
-        shifted = ne - np.arange(r, dtype=np.int64)
-        idx += np.searchsorted(shifted, idx, side="right") * ~signal
-        np.copyto(idx, ne.take(idx, mode="clip"), where=signal)
+        buf = np.empty(min(m, SAMPLE_BLOCK))
+        rank = np.empty(buf.size, dtype=np.int64)
+        signal = np.empty(m, dtype=bool)
+        for lo in range(0, m, SAMPLE_BLOCK):
+            s = signal[lo : lo + SAMPLE_BLOCK]
+            np.less(rng.random(out=buf[: s.size]), self.q, out=s)
+        scale = np.array([size - r, r], dtype=float)
+        if size <= m:
+            table = np.concatenate([np.delete(np.arange(size), ne), ne])
+        else:
+            # the complement rank c is joint index c plus the PSNE indices it skips
+            shifted = ne - np.arange(r, dtype=np.int64)
+        idx = np.empty(m, dtype=np.int64)
+        for lo in range(0, m, SAMPLE_BLOCK):
+            s, out = signal[lo : lo + SAMPLE_BLOCK], idx[lo : lo + SAMPLE_BLOCK]
+            u, k = rng.random(out=buf[: s.size]), rank[: s.size]
+            u *= scale.take(s, mode="clip")
+            np.copyto(k, u, casting="unsafe")
+            if size <= m:
+                k += s * (size - r)
+                table.take(k, out=out, mode="clip")
+            else:
+                # signal draws add a stray offset here and are overwritten next
+                np.add(k, shifted.searchsorted(k, side="right"), out=out)
+                np.copyto(out, ne.take(k, mode="clip"), where=s)
         return Dataset(self.space, idx)
 
     def mass(self, overlap, set_size):

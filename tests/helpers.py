@@ -255,6 +255,17 @@ def packed_psne_sets(n, k, sizes, grid):
     return CandidateFamily(space, candidates, "packed rows")
 
 
+def all_subsets_family(action_sizes, max_size):
+    """Every PSNE set of 1..max_size joint actions, realizable or not."""
+    space = ActionSpace(tuple(action_sizes))
+    candidates = [
+        PsneSet(combo)
+        for s in range(1, max_size + 1)
+        for combo in itertools.combinations(range(space.joint_size), s)
+    ]
+    return CandidateFamily(space, candidates, f"all-subsets(max_size={max_size})")
+
+
 def random_model(rng, max_joint=256, max_psne=None):
     """A random valid mixture model on a random small action space."""
     while True:

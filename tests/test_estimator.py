@@ -16,7 +16,6 @@ from psne_learn import (
     MixtureModel,
     PolymatrixGame,
     PsneSet,
-    all_subsets_family,
     count_grid_games,
     enumerate_psne,
     enumerate_psne_sets,
@@ -28,6 +27,7 @@ from psne_learn import (
 )
 from psne_learn import estimator
 from helpers import (
+    all_subsets_family,
     direct_player_regions,
     enumerate_grid_games,
     games_psne_sets,
@@ -229,14 +229,6 @@ class TestFamilyFactories:
         family = all_subsets_family((2, 2), 1)
         assert [c.indices for c in family] == [(0,), (1,), (2,), (3,)]
         assert family.provenance == "all-subsets(max_size=1)"
-
-    def test_all_subsets_capacity(self):
-        total = sum(math.comb(256, s) for s in range(1, 5))
-        with pytest.raises(
-            CapacityError,
-            match=rf"^all-subsets family reached {total} sets, ceiling is 2000000$",
-        ):
-            all_subsets_family((2,) * 8, 4)
 
     def test_explicit_family_dedupes(self):
         family = explicit_family((2, 2), [[3, 0], [0, 3], [1]])

@@ -14,6 +14,7 @@ from psne_learn import (
     mixture_interval,
     nll_scale,
 )
+from psne_learn.mixture import SAMPLE_BLOCK
 from helpers import brute_expected_nll, masked_sample_indices, random_model
 
 SPACE4 = ActionSpace((2, 2))
@@ -144,6 +145,27 @@ class TestSampling:
                 q = iv.lower + (iv.upper - iv.lower) * float(rng.uniform(0.05, 1.0))
                 model = MixtureModel(space, psne, q)
                 for m in (0, 1, 10, 1000, 100_000):
+                    seed = int(rng.integers(2**32))
+                    expected = masked_sample_indices(model, m, seed)
+                    assert np.array_equal(model.sample(m, seed).indices, expected)
+        # every block edge: |A| <= m takes the joint-index table and |A| > m
+        # the rank lookup; the 2**13-joint space switches between the first
+        # two counts, and the 2**63-joint space is the int64 ceiling
+        edges = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 7)
+        rng = np.random.default_rng(2025)
+        for sizes in [(2, 2), (3, 2, 2), (4, 4, 5), (2,) * 13, (2,) * 16, (2,) * 20, (2,) * 63]:
+            space = ActionSpace(sizes)
+            size = space.joint_size
+            extremes = [1, size - 1] if size <= 2**16 else [1, 2]
+            for r in extremes + [int(v) for v in rng.integers(1, min(size, 40), 2)]:
+                if size < 2**63:
+                    psne = PsneSet(rng.choice(size, size=r, replace=False))
+                else:
+                    psne = PsneSet(rng.integers(0, size, r))
+                iv = mixture_interval(len(psne), size)
+                q = iv.lower + (iv.upper - iv.lower) * float(rng.uniform(0.05, 1.0))
+                model = MixtureModel(space, psne, q)
+                for m in edges:
                     seed = int(rng.integers(2**32))
                     expected = masked_sample_indices(model, m, seed)
                     assert np.array_equal(model.sample(m, seed).indices, expected)
