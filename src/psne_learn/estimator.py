@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, check_capacity
-from .games import ActionSpace, PsneSet, _best_response_table, bounded_joint_size
+from .games import ActionSpace, PsneSet, _best_response_grid, bounded_joint_size
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
@@ -171,15 +171,13 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
     the number of parent configurations: a chunk's payoff grid and joint
     rows stay within that element budget, so beyond the stacks themselves
     peak memory does not grow with the structure count.  Each chunk takes
-    one batched best-response table, one gather to the joint space through
-    (player i's digit, cfg) and one `np.packbits`; only its distinct rows
+    one batched best-response grid, one broadcast of it to (chunk, |A|)
+    rows over the joint space and one `np.packbits`; only its distinct rows
     become ints.  Regions dedupe heavily: distinct potentials often induce
     the same best-response pattern.
     """
     size = space.joint_size
     nbytes = (size + 7) // 8
-    all_idx = np.arange(size, dtype=np.int64)
-    digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
     si = sizes[i - 1]
     others = [j for j in range(1, n + 1) if j != i]
     unary = _grid_tables(grid, si, 1)[:, :, 0]
@@ -200,12 +198,12 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
                 pick = np.unravel_index(
                     np.arange(start, min(start + chunk, total)), shape
                 )
-                tables = [pairwise[j][p] for j, p in zip(parents, pick[1:])]
-                br, cstrides = _best_response_table(unary[pick[0]], tables)
-                cfg = np.zeros(size, dtype=np.int64)
-                for j, stride in zip(parents, cstrides):
-                    cfg += digits[j] * stride
-                packed = np.packbits(br[:, digits[i], cfg], axis=1, bitorder="little")
+                tables = {j: pairwise[j][p] for j, p in zip(parents, pick[1:])}
+                br = _best_response_grid(space, i, unary[pick[0]], tables)
+                joint = np.broadcast_to(br, (len(br), *space.counts))
+                packed = np.packbits(
+                    joint.reshape(len(br), size), axis=1, bitorder="little"
+                )
                 keys = np.ascontiguousarray(packed).view(np.dtype((np.void, nbytes)))
                 distinct = set(keys.ravel().tolist())
                 rows.update(int.from_bytes(row, "little") for row in distinct)

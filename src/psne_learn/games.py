@@ -13,8 +13,9 @@ integer-valued (or otherwise exactly representable) so that equilibrium
 checks involve no floating-point tolerance.
 
 Players and actions are 1-based in the public API.  Joint actions are
-tuples of per-player actions, or equivalently mixed-radix indices in
-0..|A|-1 with player 1 most significant.
+tuples of per-player actions, or equivalently indices in 0..|A|-1: the
+flat C-order position in an array of shape `counts`, one axis per player,
+so player 1 is the slowest axis (mixed radix, most significant digit).
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .errors import InputError, check_capacity
 
 # joint actions `enumerate_psne` may sweep
 JOINT_CEILING = 2**24
-# joint indices one chunk of that sweep holds
-SWEEP_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,13 @@ class PsneSet:
         return f"PsneSet({list(self.indices)})"
 
 
-def _as_readonly(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(shape)
+def _as_readonly(values, shape, what: str) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be numeric with shape {shape}: {exc}") from None
+    if arr.shape != shape:
+        raise InputError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError("potentials must be finite")
     arr.flags.writeable = False
@@ -205,9 +209,7 @@ class PolymatrixGame:
             s = self.space.counts[i - 1]
             if vals is None:
                 vals = np.zeros(s)
-            elif len(vals) != s:
-                raise InputError(f"unary table for player {i} must have {s} entries")
-            tables.append(_as_readonly(vals, (s,)))
+            tables.append(_as_readonly(vals, (s,), f"unary table for player {i}"))
         if unary:
             raise InputError(f"unary keys out of range: {sorted(unary)}")
         self._unary = tuple(tables)
@@ -220,7 +222,9 @@ class PolymatrixGame:
                 vals = pairwise.pop((i, j), None)
                 if vals is None:
                     vals = np.zeros((si, sj))
-                pw[(i, j)] = _as_readonly(vals, (si, sj))
+                pw[(i, j)] = _as_readonly(
+                    vals, (si, sj), f"pairwise table for edge ({i}, {j})"
+                )
         if pairwise:
             raise InputError(
                 f"pairwise keys without a matching edge: {sorted(pairwise)}"
@@ -286,58 +290,50 @@ class PolymatrixGame:
         )
 
 
-def _best_response_table(
-    unary: np.ndarray, tables: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[int]]:
-    """Boolean table br[..., a, cfg] over one player's parent-configuration
-    grid.
+def _best_response_grid(
+    space: ActionSpace,
+    i: int,
+    unary: np.ndarray,
+    tables: Mapping[int, np.ndarray],
+) -> np.ndarray:
+    """Player i's best-response indicator laid over the joint grid.
 
     `unary` is the player's float potential vector, shape (..., |A_i|), and
-    `tables` holds one (..., |A_i|, |A_j|) pairwise table per parent; cfg
-    enumerates the parents in that order, first parent most significant.
+    `tables` maps each parent j to its (..., |A_i|, |A_j|) pairwise table.
     Leading axes are a batch of games sharing one parent set: one game has
-    none, the family build passes a chunk of structures.  Returns
-    (br, cfg strides).
+    none, the family build passes a chunk of structures.  The result has
+    the batch axes, then one axis per player: |A_p| long for i and its
+    parents, 1 for everyone else, so it broadcasts against an array of
+    shape `space.counts` whose flat C-order index is the joint index.
     """
-    m = math.prod(t.shape[-1] for t in tables)
-    payoff = np.repeat(unary[..., None], m, axis=-1)
-    stride = m
-    cstrides = []
-    for table in tables:
-        sj = table.shape[-1]
-        stride //= sj
-        cstrides.append(stride)
-        payoff += table[..., (np.arange(m) // stride) % sj]
-    return payoff == payoff.max(axis=-2, keepdims=True), cstrides
+    batch = unary.shape[:-1]
+    axes = [1] * space.n
+    axes[i - 1] = space.counts[i - 1]
+    payoff = unary.reshape(batch + tuple(axes))
+    for j, table in tables.items():
+        if j < i:
+            table = np.swapaxes(table, -1, -2)
+        shape = list(axes)
+        shape[j - 1] = space.counts[j - 1]
+        payoff = payoff + table.reshape(batch + tuple(shape))
+    return payoff == payoff.max(axis=len(batch) + i - 1, keepdims=True)
 
 
 def enumerate_psne(game: PolymatrixGame) -> PsneSet:
     """Exact PSNE set of a game, by sweep over the full joint space.
 
-    The sweep factors through per-player best-response tables over parent
-    configurations and walks joint indices in SWEEP_CHUNK-sized chunks, so
-    peak memory stays bounded (the joint space must not exceed JOINT_CEILING).
-    An index leaves its chunk at the first player whose table rejects it, so
-    later players see only the survivors, still in ascending order.
+    The joint space is a boolean array of shape `space.counts` (it must not
+    exceed JOINT_CEILING); each player's best-response grid broadcasts over
+    it and clears the joint actions where that player would deviate, so
+    the survivors' flat positions are the equilibria in ascending order.
     """
     space = game.space
-    size = space.joint_size
-    check_capacity("PSNE sweep", size, JOINT_CEILING, "joint actions")
-    grids = []
+    check_capacity("PSNE sweep", space.joint_size, JOINT_CEILING, "joint actions")
+    ok = np.ones(space.counts, dtype=bool)
     for i in range(1, game.n + 1):
-        parents = game.neighbors(i)
-        tables = [game.pairwise_table(i, j) for j in parents]
-        grids.append((parents, *_best_response_table(game.unary_table(i), tables)))
-    found: list[np.ndarray] = []
-    for start in range(0, size, SWEEP_CHUNK):
-        idx = np.arange(start, min(start + SWEEP_CHUNK, size), dtype=np.int64)
-        for i, (parents, br, cstrides) in enumerate(grids, start=1):
-            cfg = np.zeros(idx.shape, dtype=np.int64)
-            for j, cs in zip(parents, cstrides):
-                cfg += space.digit(idx, j) * cs
-            idx = idx[br[space.digit(idx, i), cfg]]
-        found.append(idx)
-    return PsneSet(np.concatenate(found) if found else ())
+        tables = {j: game.pairwise_table(i, j) for j in game.neighbors(i)}
+        ok &= _best_response_grid(space, i, game.unary_table(i), tables)
+    return PsneSet(np.flatnonzero(ok))
 
 
 class LinearPsneForm:

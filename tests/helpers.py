@@ -34,7 +34,6 @@ from psne_learn.estimator import (
     _check_class_params,
     _normalize_grid,
 )
-from psne_learn.games import _best_response_table
 
 # the `src` directory of the package this process imported
 SRC = Path(psne_learn.__file__).resolve().parent.parent
@@ -173,16 +172,36 @@ def enumerate_grid_games(
         yield PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
+def _cfg_best_response_table(unary, tables):
+    """Boolean table br[a, cfg] over one player's parent configurations.
+
+    `unary` is the player's potential vector and `tables` holds one
+    (|A_i|, |A_j|) pairwise table per parent; cfg enumerates the parents in
+    that order, first parent most significant.  Returns (br, cfg strides).
+    """
+    m = math.prod(t.shape[-1] for t in tables)
+    payoff = np.repeat(unary[..., None], m, axis=-1)
+    stride = m
+    cstrides = []
+    for table in tables:
+        sj = table.shape[-1]
+        stride //= sj
+        cstrides.append(stride)
+        payoff += table[..., (np.arange(m) // stride) % sj]
+    return payoff == payoff.max(axis=-2, keepdims=True), cstrides
+
+
 def _structure_rows(n, k, sizes, grid, i, space):
     """Player i's acceptance region per structure, as a bool row over the
-    joint space: one best-response table per structure, looked up at
-    every joint index."""
+    joint space: one best-response table per structure over its parent
+    configurations, looked up at every joint index through the mixed-radix
+    digits of that index."""
     size = space.joint_size
     all_idx = np.arange(size, dtype=np.int64)
     digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
     cfgs = {}
     for parents, u, tables in player_structures(n, k, sizes, grid, i):
-        br, cstrides = _best_response_table(u, [tables[j] for j in parents])
+        br, cstrides = _cfg_best_response_table(u, [tables[j] for j in parents])
         if parents not in cfgs:
             cfgs[parents] = sum(
                 (digits[j] * stride for j, stride in zip(parents, cstrides)),

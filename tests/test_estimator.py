@@ -203,6 +203,7 @@ class TestPlayerRegions:
             (3, 0, (3, 2, 4), GRID3),
             (3, 2, (3, 2, 2), (0.0,)),
             (3, 2, (3, 2, 2), (0.0, 1.0)),
+            (4, 1, (2, 3, 2, 2), (0.0, 1.0)),
         ],
     )
     def test_matches_direct_build(self, n, k, sizes, grid):

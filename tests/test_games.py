@@ -178,7 +178,7 @@ class TestEnumeratePsne:
         ):
             enumerate_psne(game)
 
-    def test_chunking_matches_single_pass(self, monkeypatch):
+    def test_mixed_games_match_brute_force(self):
         rng = np.random.default_rng(2)
         games = [random_grid_game(rng, 4, 3, (2, 2, 2, 2), (-1.0, 0.0, 1.0))]
         for _ in range(10):
@@ -198,11 +198,21 @@ class TestEnumeratePsne:
         assert len(brute_psne_set_local(pennies)) == 0
         assert len(brute_psne_set_local(zero)) == zero.space.joint_size
         for game in games + [pennies, zero]:
-            expected = brute_psne_set_local(game)
-            assert enumerate_psne(game) == expected
-            for chunk in (1, 3, 7, game.space.joint_size):
-                monkeypatch.setattr("psne_learn.games.SWEEP_CHUNK", chunk)
-                assert enumerate_psne(game) == expected
+            assert enumerate_psne(game) == brute_psne_set_local(game)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_mixed_sizes_past_three_players(self, n):
+        # dense parent sets over mixed action sizes: every pairwise table is
+        # laid on the joint grid in both parent-index orders
+        rng = np.random.default_rng(n)
+        checked = 0
+        while checked < 40:
+            sizes = tuple(int(s) for s in rng.integers(2, 5, size=n))
+            if np.prod(sizes) > 300:
+                continue
+            game = random_grid_game(rng, n, n - 1, sizes, (-1.0, 0.0, 1.0))
+            assert enumerate_psne(game) == brute_psne_set_local(game)
+            checked += 1
 
 
 def brute_psne_set_local(game):
@@ -367,6 +377,44 @@ class TestGameValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             PolymatrixGame([2, 2], unary={1: [0.0, float("inf")]})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"pairwise": {(1, 2): [1.0, 0.0, 1.0]}},
+                r"^pairwise table for edge \(1, 2\) must have shape \(2, 2\), "
+                r"got \(3,\)$",
+            ),
+            (
+                {"pairwise": {(1, 2): [[1.0], [0.0], [0.0], [1.0]]}},
+                r"^pairwise table for edge \(1, 2\) must have shape \(2, 2\), "
+                r"got \(4, 1\)$",
+            ),
+            (
+                {"unary": {2: [[0.0], [1.0]]}},
+                r"^unary table for player 2 must have shape \(2,\), got \(2, 1\)$",
+            ),
+            (
+                {"unary": {1: [0.0, 1.0, 2.0]}},
+                r"^unary table for player 1 must have shape \(2,\), got \(3,\)$",
+            ),
+            (
+                {"unary": {2: [[0.0], [1.0, 2.0]]}},
+                r"^unary table for player 2 must be numeric with shape \(2,\): ",
+            ),
+        ],
+        ids=[
+            "pairwise-wrong-size",
+            "pairwise-wrong-shape",
+            "unary-wrong-shape",
+            "unary-wrong-size",
+            "unary-ragged",
+        ],
+    )
+    def test_table_shape_rejected(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            PolymatrixGame([2, 2], neighbors={1: [2]}, **kwargs)
 
     def test_missing_pairwise_defaults_to_zeros(self):
         game = PolymatrixGame([2, 2], neighbors={1: [2]})
