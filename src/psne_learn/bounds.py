@@ -45,9 +45,7 @@ def superset_recovery_margin(psne_size: int, q: float, joint_size: int) -> float
     r = int(psne_size)
     if r < 2:
         raise InputError("superset margin needs at least 2 equilibria")
-    q = float(q)
-    if q not in mixture_interval(r, joint_size):
-        raise InputError(f"q={q} inadmissible for |NE|={r}, |A|={joint_size}")
+    q = mixture_interval(r, joint_size).admit(q)
     log_q, log_1mq = math.log(q), math.log1p(-q)
     numerator = (
         q * (log_q - math.log(r))

@@ -112,7 +112,7 @@ def _check_class_params(n: int, k: int, action_sizes) -> tuple[int, ...]:
         raise InputError(f"need at least 2 players, got n={n}")
     if not 0 <= k <= n - 1:
         raise InputError(f"parent budget k={k} outside 0..{n - 1}")
-    sizes = tuple(int(s) for s in action_sizes)
+    sizes = tuple(action_sizes)
     if len(sizes) != n:
         raise InputError(f"expected {n} action sizes, got {len(sizes)}")
     return ActionSpace(sizes).counts

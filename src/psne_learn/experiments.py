@@ -19,8 +19,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import fano_error_lower_bound
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_mle
+from .estimator import _normalize_grid
 from .games import ActionSpace, PsneSet, bounded_joint_size, encode_joint_action
 from .influence import all_influence_sets, influence_game, influence_psne, map_decoder
 from .mixture import MixtureModel, check_joint_size, expected_nll, mixture_interval
@@ -47,11 +48,9 @@ class ExperimentConfig:
     fano_q: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "action_sizes", tuple(self.action_sizes))
-        object.__setattr__(self, "grid", tuple(self.grid))
-        object.__setattr__(self, "m_schedule", tuple(self.m_schedule))
-        if self.truth_psne is not None:
-            object.__setattr__(self, "truth_psne", tuple(self.truth_psne))
+        for name in ("action_sizes", "grid", "m_schedule", "truth_psne"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         problems = []
         if self.kind not in KINDS:
             problems.append(f"kind must be one of {'/'.join(KINDS)}, got {self.kind!r}")
@@ -62,8 +61,6 @@ class ExperimentConfig:
         sizes = self.action_sizes
         if sizes and len(sizes) != self.n:
             problems.append(f"{len(sizes)} action sizes for {self.n} players")
-        if any(s < 2 for s in sizes):
-            problems.append(f"action sizes must all be >= 2, got {sizes}")
         if not self.m_schedule:
             problems.append("m_schedule must be nonempty")
         if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
@@ -76,10 +73,15 @@ class ExperimentConfig:
             problems.append(f"trials must be at least 1, got {self.trials}")
         if not 0.0 < self.delta < 1.0:
             problems.append(f"delta={self.delta} outside (0, 1)")
-        if self.kind in ("recovery", "gap") and not 0.0 < self.q_star < 1.0:
-            problems.append(f"q_star={self.q_star} outside (0, 1)")
         if self.seed < 0:
             problems.append(f"seed must be nonnegative, got {self.seed}")
+        # the library's own action-count, grid and PSNE-index rules
+        rules = (ActionSpace, sizes or (2,)), (_normalize_grid, self.grid)
+        for rule, value in (*rules, (PsneSet, self.truth_psne or ())):
+            try:
+                rule(value)
+            except InputError as exc:
+                problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -126,9 +128,7 @@ def _freq_row(m: int, metric: str, hits: Sequence[bool]) -> ResultRow:
     return ResultRow(m, metric, f, math.sqrt(f * (1.0 - f) / trials), trials)
 
 
-def _choose_truth(
-    config: ExperimentConfig, family: CandidateFamily
-) -> MixtureModel:
+def _choose_truth(config: ExperimentConfig, family: CandidateFamily) -> MixtureModel:
     space = family.space
     if config.truth_psne is not None:
         truth = PsneSet(config.truth_psne)
@@ -152,12 +152,8 @@ def _choose_truth(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))
         )
         truth = eligible[int(rng.integers(len(eligible)))]
-    if config.q_star not in mixture_interval(len(truth), space.joint_size):
-        raise ConfigError(
-            f"q_star={config.q_star} outside the admissible interval for "
-            f"|NE|={len(truth)}, |A|={space.joint_size}"
-        )
-    return MixtureModel(space, truth, config.q_star)
+    interval = mixture_interval(len(truth), space.joint_size)
+    return MixtureModel(space, truth, interval.admit(config.q_star, ConfigError))
 
 
 def _base_meta(config: ExperimentConfig) -> dict:
@@ -257,8 +253,7 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     space = ActionSpace(config.sizes)
     size = space.joint_size
     q = config.fano_q if config.fano_q is not None else 2.0 / size
-    if q not in mixture_interval(1, size):
-        raise ConfigError(f"fano mixture weight q={q} inadmissible for |A|={size}")
+    q = mixture_interval(1, size).admit(q, ConfigError)
 
     population = math.comb(config.n, config.k)
     enumerated = population <= ENUMERATE_PI_LIMIT

@@ -59,7 +59,7 @@ def _json_payload(path: str, kind: str):
         with open(path) as handle:
             payload = json.load(handle)
         yield payload
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputError(f"malformed {kind} file {path}: {exc}") from exc
 
 
@@ -93,7 +93,7 @@ def write_game(path: str, game: PolymatrixGame) -> None:
 def read_game(path: str) -> PolymatrixGame:
     with _json_payload(path, "game") as payload:
         n = int(payload["n"])
-        sizes = [int(s) for s in payload["actions"]]
+        sizes = list(payload["actions"])
         if len(sizes) != n:
             raise InputError(f"{len(sizes)} action sizes for n={n}")
         neighbors = {int(i): [int(j) for j in js] for i, js in payload["neighbors"].items()}
@@ -169,11 +169,7 @@ def read_dataset(path: str, space: ActionSpace | None = None) -> Dataset:
             distinct.append(actions)
         slots.append(slot)
     if space is None:
-        arr = np.asarray(distinct, dtype=np.int64)
-        counts = (
-            tuple(max(2, int(c)) for c in arr.max(axis=0)) if distinct else (2,) * n
-        )
-        space = ActionSpace(counts)
+        space = ActionSpace([max(2, *column) for column in zip(*distinct)] or (2,) * n)
     indices = Dataset.from_actions(space, distinct).indices
     return Dataset(space, indices[np.asarray(slots, dtype=np.int64)])
 
@@ -191,7 +187,7 @@ def write_family(path: str, family: CandidateFamily) -> None:
 
 def read_family(path: str) -> CandidateFamily:
     with _json_payload(path, "family") as payload:
-        sizes = tuple(int(s) for s in payload["actions"])
+        sizes = tuple(payload["actions"])
         check_joint_size(bounded_joint_size(len(sizes), sizes))
         return CandidateFamily(
             ActionSpace(sizes),

@@ -21,6 +21,7 @@ so player 1 is the slowest axis (mixed radix, most significant digit).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -31,18 +32,38 @@ from .errors import InputError, check_capacity
 
 # joint actions `enumerate_psne` may sweep
 JOINT_CEILING = 2**24
+INDEX_CEILING = 2**63  # samples and datasets hold joint indices 0..|A|-1 as int64
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int; anything else (a bool, a float 2.0) is an InputError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """`values` as int64; a value `_integer` rejects, or past int64, is an InputError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "i" and arr.size:
+        ints = [_integer(v, what) for v in np.asarray(values, dtype=object).flat]
+        if not all(-(2**63) <= v < 2**63 for v in ints):
+            raise InputError(f"{what} values {min(ints)}..{max(ints)} reach past int64")
+        arr = np.array(ints, dtype=np.int64).reshape(arr.shape)
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
 class ActionSpace:
-    """Per-player action-set sizes and the induced joint index arithmetic."""
+    """Per-player action-set sizes and the induced joint index arithmetic,
+    with the one action-range and joint-index-range checks."""
 
     counts: tuple[int, ...]
     strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     joint_size: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_integer(c, "action count") for c in self.counts)
         if len(counts) == 0:
             raise InputError("action space needs at least one player")
         if any(c < 2 for c in counts):
@@ -59,27 +80,40 @@ class ActionSpace:
         return len(self.counts)
 
     def digit(self, index, player: int):
-        """Extract player's 0-based action digit from joint indices.
-
-        Accepts a scalar or an integer ndarray; returns the same shape.
-        """
+        """Player's 0-based action digit of a joint index or an int array of them."""
         self._check_player(player)
         p = player - 1
         return (index // self.strides[p]) % self.counts[p]
+
+    def encode(self, actions) -> np.ndarray:
+        """Int64 joint indices of (..., n) 1-based actions; |A| must be <= INDEX_CEILING."""
+        self._check_int64()
+        return (self._check_joint(actions) - 1) @ np.asarray(self.strides, dtype=np.int64)
+
+    def check_indices(self, indices) -> np.ndarray:
+        """`indices` as int64 joint indices, each in 0..|A|-1 (for any |A|)."""
+        idx, top = _int64_array(indices, "joint index"), self.joint_size - 1
+        if idx.size and (idx.min() < 0 or int(idx.max()) > top):
+            raise InputError(f"joint indices {idx.min()}..{idx.max()} reach past 0..{top}")
+        return idx
+
+    def _check_int64(self) -> None:
+        check_capacity("int64 indexing", self.joint_size, INDEX_CEILING, "joint actions")
 
     def _check_player(self, player: int) -> None:
         if not 1 <= player <= self.n:
             raise InputError(f"player {player} out of range 1..{self.n}")
 
-    def _check_joint(self, actions: Sequence[int]) -> tuple[int, ...]:
-        """The joint action as a tuple of ints: one in-range action per player."""
-        actions = tuple(int(a) for a in actions)
-        if len(actions) != self.n:
-            raise InputError(f"expected {self.n} actions, got {len(actions)}")
-        for p, (a, s) in enumerate(zip(actions, self.counts)):
-            if not 1 <= a <= s:
-                raise InputError(f"action {a} for player {p + 1} outside 1..{s}")
-        return actions
+    def _check_joint(self, actions) -> np.ndarray:
+        """An (..., n) int64 array of 1-based actions, each in its player's range."""
+        arr = _int64_array(actions, "action")
+        if arr.shape[-1:] != (self.n,):
+            raise InputError(f"expected {self.n} actions, got shape {arr.shape}")
+        bad = np.argwhere((arr < 1) | (arr > np.asarray(self.counts)))
+        if bad.size:
+            a, p = arr[tuple(bad[0])], bad[0, -1]
+            raise InputError(f"action {a} for player {p + 1} outside 1..{self.counts[p]}")
+        return arr
 
 
 def bounded_joint_size(n: int, counts, ceiling=sys.float_info.max) -> int:
@@ -92,14 +126,11 @@ def bounded_joint_size(n: int, counts, ceiling=sys.float_info.max) -> int:
 
 def encode_joint_action(space: ActionSpace, actions: Sequence[int]) -> int:
     """Mixed-radix index of a joint action, player 1 most significant."""
-    actions = space._check_joint(actions)
-    return sum((a - 1) * s for a, s in zip(actions, space.strides))
+    return space.encode(actions).item()
 
 
 def decode_joint_action(space: ActionSpace, index: int) -> tuple[int, ...]:
-    index = int(index)
-    if not 0 <= index < space.joint_size:
-        raise InputError(f"index {index} outside 0..{space.joint_size - 1}")
+    index = space.check_indices(index).item()
     return tuple(space.digit(index, p) + 1 for p in range(1, space.n + 1))
 
 
@@ -109,8 +140,8 @@ class PsneSet:
     __slots__ = ("indices", "_members", "_array")
 
     def __init__(self, indices: Iterable[int]):
-        idx = tuple(sorted({int(i) for i in indices}))
-        if any(i < 0 for i in idx):
+        idx = tuple(sorted({_integer(i, "joint-action index") for i in indices}))
+        if idx and idx[0] < 0:
             raise InputError("joint-action indices must be nonnegative")
         self.indices = idx
         self._members = None
@@ -130,7 +161,7 @@ class PsneSet:
         return self._array
 
     def __contains__(self, index) -> bool:
-        return int(index) in self.members
+        return index in self.members
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -285,9 +316,7 @@ class PolymatrixGame:
 
     def is_psne(self, x: Sequence[int]) -> bool:
         x = self.space._check_joint(x)
-        return all(
-            x[i - 1] in self.best_responses(i, x) for i in range(1, self.n + 1)
-        )
+        return all(x[i - 1] in self.best_responses(i, x) for i in range(1, self.n + 1))
 
 
 def _best_response_grid(
@@ -401,9 +430,8 @@ class LinearPsneForm:
         others = [j for j in range(1, space.n + 1) if j != i]
         dim = (1 + si) * (1 + sum(space.counts[j - 1] for j in others))
         y = np.zeros(dim)
-        off = 0
-        y[off + x[i - 1] - 1] = 1.0
-        off += si
+        y[x[i - 1] - 1] = 1.0
+        off = si
         for j in others:
             sj = space.counts[j - 1]
             y[off + (x[i - 1] - 1) * sj + (x[j - 1] - 1)] = 1.0

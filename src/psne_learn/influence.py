@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .games import (
+    ActionSpace,
     PolymatrixGame,
     PsneSet,
     encode_joint_action,
@@ -69,7 +70,7 @@ def influence_game(
     if len(pi) != k:
         raise InputError(f"expected {k} influential players, got {len(pi)}")
     action = influence_psne(pi, n)
-    sizes = tuple(int(s) for s in action_sizes) if action_sizes else (2,) * n
+    sizes = ActionSpace(tuple(action_sizes)).counts if action_sizes else (2,) * n
     if len(sizes) != n:
         raise InputError(f"expected {n} action sizes, got {len(sizes)}")
 
@@ -99,9 +100,7 @@ def influence_game(
             f"influence construction broke its single-PSNE guarantee for "
             f"pi={pi}: found {found}"
         )
-    return InfluenceInstance(
-        n=n, k=k, pi=pi, game=game, psne_action=action, psne_index=index
-    )
+    return InfluenceInstance(n, k, pi, game, psne_action=action, psne_index=index)
 
 
 def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
@@ -120,9 +119,7 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
     n = space.n
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must lie in 1..{n - 1}")
-    size = space.joint_size
-    if q not in mixture_interval(1, size):
-        raise InputError(f"q={q} outside (1/{size}, 1 - 1/{2 * size}]")
+    mixture_interval(1, space.joint_size).admit(q)
 
     observed, counts = np.unique(data.indices, return_counts=True)
     valid = np.ones(observed.shape, dtype=bool)

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_capacity
-from .games import ActionSpace, PsneSet
+from .errors import InputError
+from .games import INDEX_CEILING, ActionSpace, PsneSet  # INDEX_CEILING: re-exported
 
-INDEX_CEILING = 2**63  # samples and datasets hold joint indices 0..|A|-1 as int64
 SAMPLE_BLOCK = 1 << 13  # doubles per block of the sampler's reused uniform buffer
 
 
@@ -38,19 +36,30 @@ def nll_scale(space: ActionSpace) -> float:
 
 @dataclass(frozen=True)
 class MixtureInterval:
-    """Admissible q values: open at `lower`, closed at `upper`."""
+    """Admissible q values for |NE| and |A|: open at `lower`, closed at `upper`."""
 
     lower: float
     upper: float
+    _sizes: tuple = field(repr=False, compare=False)  # (|NE|, |A|), for `admit`
 
     @classmethod
     def of(cls, psne_size, joint_size) -> "MixtureInterval":
         """(|NE|/|A|, 1 - 1/(2|A|)], unchecked; given an array of set sizes,
         `lower` is the array of their lower ends."""
-        return cls(psne_size / joint_size, 1.0 - 1.0 / (2.0 * joint_size))
+        lower, upper = psne_size / joint_size, 1.0 - 1.0 / (2.0 * joint_size)
+        return cls(lower, upper, (psne_size, joint_size))
 
     def __contains__(self, q: float) -> bool:
         return self.lower < q <= self.upper
+
+    def admit(self, q, error: type[Exception] = InputError) -> float:
+        """float(q), or `error` with the one message of every q check."""
+        if float(q) not in self:
+            raise error(
+                f"q={float(q)} inadmissible: outside ({self.lower}, {self.upper}] "
+                "for |NE|={}, |A|={}".format(*self._sizes)
+            )
+        return float(q)
 
 
 def check_joint_size(joint_size: int, error: type[Exception] = InputError) -> None:
@@ -71,13 +80,11 @@ def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
     return MixtureInterval.of(psne_size, joint_size)
 
 
-def check_psne_set(psne: PsneSet, joint_size: int) -> MixtureInterval:
-    """Reject a PSNE set that is empty, full, or reaches past the joint
-    space; return its admissible q interval."""
-    interval = mixture_interval(len(psne), joint_size)
+def check_psne_set(psne: PsneSet, joint_size: int) -> None:
+    """Reject a PSNE set that is empty, full, or reaches past the joint space."""
+    mixture_interval(len(psne), joint_size)
     if psne.indices[-1] >= joint_size:
         raise InputError(f"PSNE set index {psne.indices[-1]} outside 0..{joint_size - 1}")
-    return interval
 
 
 class Dataset:
@@ -86,29 +93,18 @@ class Dataset:
     __slots__ = ("space", "indices")
 
     def __init__(self, space: ActionSpace, indices):
-        check_capacity("int64 indexing", space.joint_size, INDEX_CEILING, "joint actions")
-        idx = np.asarray(indices, dtype=np.int64).copy()
+        space._check_int64()
+        idx = space.check_indices(indices).copy()
         if idx.ndim != 1:
             raise InputError("dataset indices must be one-dimensional")
-        if idx.size and (idx.min() < 0 or idx.max() >= space.joint_size):
-            raise InputError("dataset contains out-of-range joint indices")
         idx.flags.writeable = False
         self.space = space
         self.indices = idx
 
     @classmethod
     def from_actions(cls, space: ActionSpace, rows) -> "Dataset":
-        check_capacity("int64 indexing", space.joint_size, INDEX_CEILING, "joint actions")
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.size == 0:
-            return cls(space, np.zeros(0, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[1] != space.n:
-            raise InputError(f"rows must have {space.n} columns")
-        counts = np.asarray(space.counts)
-        if (arr < 1).any() or (arr > counts[None, :]).any():
-            raise InputError("action out of range in dataset rows")
-        strides = np.asarray(space.strides, dtype=np.int64)
-        return cls(space, (arr - 1) @ strides)
+        """The observations given as m rows of n 1-based actions."""
+        return cls(space, space.encode(rows) if len(rows) else ())
 
     @property
     def m(self) -> int:
@@ -123,10 +119,8 @@ class Dataset:
 
     def actions_matrix(self) -> np.ndarray:
         """m x n matrix of 1-based actions, in sample order."""
-        cols = [
-            self.space.digit(self.indices, p) + 1 for p in range(1, self.space.n + 1)
-        ]
-        return np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
+        digits = [self.space.digit(self.indices, p) for p in range(1, self.space.n + 1)]
+        return np.stack(digits, axis=1) + 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,13 +146,8 @@ class MixtureModel:
 
     def __init__(self, space: ActionSpace, psne: PsneSet, q: float):
         size = space.joint_size
-        interval = check_psne_set(psne, size)
-        q = float(q)
-        if q not in interval:
-            raise InputError(
-                f"q={q} outside admissible interval "
-                f"({interval.lower}, {interval.upper}]"
-            )
+        check_psne_set(psne, size)
+        q = mixture_interval(len(psne), size).admit(q)
         self.space = space
         self.psne = psne
         self.q = q
@@ -169,23 +158,19 @@ class MixtureModel:
         self.in_set_nll = -self.log_in / self.scale
         self.out_set_nll = -self.log_out / self.scale
 
-    def _membership(self, index):
-        idx = np.asarray(index, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.space.joint_size):
-            raise InputError("joint index out of range")
-        return idx, np.isin(idx, self.psne.as_array())
+    def _membership(self, index, inside, outside):
+        """`inside` on joint indices in the PSNE set, `outside` elsewhere."""
+        idx = self.space.check_indices(index)
+        out = np.where(np.isin(idx, self.psne.as_array()), inside, outside)
+        return float(out) if idx.ndim == 0 else out
 
     def pmf(self, index):
         """Probability of joint indices (scalar or ndarray)."""
-        idx, member = self._membership(index)
-        out = np.where(member, math.exp(self.log_in), math.exp(self.log_out))
-        return float(out) if np.isscalar(index) or idx.ndim == 0 else out
+        return self._membership(index, math.exp(self.log_in), math.exp(self.log_out))
 
     def scaled_nll(self, index):
         """-ln p(x) / ln(2|A|^2), always within [0, 1]."""
-        idx, member = self._membership(index)
-        out = np.where(member, self.in_set_nll, self.out_set_nll)
-        return float(out) if np.isscalar(index) or idx.ndim == 0 else out
+        return self._membership(index, self.in_set_nll, self.out_set_nll)
 
     def sample(self, m: int, seed: int) -> Dataset:
         """Draw m observations; bit-identical for identical (m, seed).
@@ -207,7 +192,7 @@ class MixtureModel:
         if seed < 0:
             raise InputError(f"seed must be nonnegative, got {seed}")
         size = self.space.joint_size
-        check_capacity("int64 indexing", size, INDEX_CEILING, "joint actions")
+        self.space._check_int64()
         rng = np.random.default_rng(seed)
         ne = self.psne.as_array()
         r = ne.size

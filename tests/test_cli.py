@@ -371,10 +371,18 @@ class TestOneTable:
 BIG_N = "99999999999999999999999"
 HUGE_FAMILY = {"actions": [2, 99999999999999999999], "candidates": [[0]]}
 WIDE_FAMILY = {"actions": [2] * 2000, "candidates": [[0]]}
+# family files whose values are not all integers
+FAMILY_FILES = {
+    "family": HUGE_FAMILY,
+    "wide": WIDE_FAMILY,
+    "half": {"actions": [2, 2], "candidates": [[0.5]]},
+    "true": {"actions": [2, 2], "candidates": [[True]]},
+    "text": {"actions": "22", "candidates": [[0]]},
+}
 
 # malformed inputs, each cheap in time and memory: argv, exit code and a
-# piece of the stderr message; {out}, {family}, {wide} and {data} name
-# temp files
+# piece of the stderr message; {out}, {data} and each FAMILY_FILES key
+# name temp files, in argv and in the message
 MALFORMED = {
     "enumerate-n20000": (
         ["enumerate", "--n", "20000", "--k", "1", "--out", "{out}"],
@@ -435,6 +443,31 @@ MALFORMED = {
         2,
         "joint size reached 1025 bits, past float range",
     ),
+    "fit-family-half-index": (
+        ["fit", "--family", "{half}", "--data", "{data}", "--out", "{out}"],
+        2,
+        "malformed family file {half}: joint-action index must be an integer, got 0.5",
+    ),
+    "fit-family-bool-index": (
+        ["fit", "--family", "{true}", "--data", "{data}", "--out", "{out}"],
+        2,
+        "malformed family file {true}: joint-action index must be an integer, got True",
+    ),
+    "fit-family-actions-string": (
+        ["fit", "--family", "{text}", "--data", "{data}", "--out", "{out}"],
+        2,
+        "malformed family file {text}: action count must be an integer, got '2'",
+    ),
+    "experiment-grid-nan": (
+        ["experiment", "--kind", "recovery", "--grid", "nan", "--out", "{out}"],
+        3,
+        "grid values must be finite",
+    ),
+    "experiment-truth-psne-negative": (
+        ["experiment", "--kind", "recovery", "--truth-psne=-1,0", "--out", "{out}"],
+        3,
+        "joint-action indices must be nonnegative",
+    ),
     "fano-bound-past-log-gamma-range": (
         ["theory", "--fano-bound", "--m", "5", "--n", "100000000000000000",
          "--k", "100", "--joint", "8"],
@@ -448,19 +481,15 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_documented_exit_without_traceback(self, tmp_path, capsys, case):
         argv, expected, message = MALFORMED[case]
-        paths = {
-            "out": str(tmp_path / "out"),
-            "family": str(tmp_path / "family.json"),
-            "wide": str(tmp_path / "wide.json"),
-            "data": str(tmp_path / "data.csv"),
-        }
-        (tmp_path / "family.json").write_text(json.dumps(HUGE_FAMILY))
-        (tmp_path / "wide.json").write_text(json.dumps(WIDE_FAMILY))
+        paths = {"out": str(tmp_path / "out"), "data": str(tmp_path / "data.csv")}
+        for name, payload in FAMILY_FILES.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
         (tmp_path / "data.csv").write_text("player_1,player_2\n1,1\n")
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code in {2, 3, 4, 5}
         assert code == expected
-        assert message in err
+        assert message.format(**paths) in err
         assert "Traceback" not in err
 
     def test_fano_bound_at_large_n(self, capsys):

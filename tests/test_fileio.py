@@ -6,6 +6,7 @@ import pytest
 
 from psne_learn import (
     ActionSpace,
+    CapacityError,
     ConfigError,
     Dataset,
     ExperimentConfig,
@@ -110,6 +111,13 @@ class TestDatasetRoundTrip:
         path.write_text("player_1,player_2\n1,3\n2,1\n")
         data = read_dataset(str(path))
         assert data.space.counts == (2, 3)
+
+    def test_inferred_space_past_int64(self, tmp_path):
+        # a column maximum past int64 is a capacity error, not an OverflowError
+        path = tmp_path / "data.csv"
+        path.write_text("player_1,player_2\n1,99999999999999999999\n")
+        with pytest.raises(CapacityError, match="int64 indexing reached"):
+            read_dataset(str(path))
 
     def test_line_number_after_multiline_cell(self, tmp_path):
         # the quoted "1\n" spans lines 2-3, so the bad row is on line 4

@@ -74,6 +74,23 @@ def test_joint_action_checked_everywhere(checker, x):
         JOINT_CHECKERS[checker](game, x)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PsneSet([0.5]),
+        lambda: PsneSet([True]),
+        lambda: PsneSet([np.float64(2.0)]),
+        lambda: ActionSpace("22"),
+        lambda: ActionSpace((2.0, 2)),
+        lambda: ActionSpace((True, 2)),
+    ],
+    ids=["psne-half", "psne-bool", "psne-float", "space-text", "space-float", "space-bool"],
+)
+def test_non_integers_rejected_not_truncated(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+
+
 class TestPsneSet:
     def test_members_built_once_on_first_read(self):
         psne = PsneSet(np.array([5, 1, 3, 1]))
@@ -85,6 +102,7 @@ class TestPsneSet:
         psne = PsneSet([1, 3, 5])
         assert np.int64(3) in psne and np.int32(5) in psne and np.uint8(1) in psne
         assert np.int64(2) not in psne and 6 not in psne
+        assert 1.5 not in psne and 1.0 in psne  # compared, never truncated
         assert psne.members == frozenset({1, 3, 5})
 
 

@@ -6,13 +6,21 @@ import pytest
 from psne_learn import (
     ActionSpace,
     CapacityError,
+    ConfigError,
     Dataset,
+    ExperimentConfig,
     InputError,
     MixtureModel,
     PsneSet,
+    decode_joint_action,
+    encode_joint_action,
     expected_nll,
+    map_decoder,
     mixture_interval,
     nll_scale,
+    run_fano,
+    run_recovery,
+    superset_recovery_margin,
 )
 from psne_learn.mixture import SAMPLE_BLOCK
 from helpers import brute_expected_nll, masked_sample_indices, random_model
@@ -33,6 +41,15 @@ class TestInterval:
         assert 0.875 in iv
         assert 0.8750001 not in iv
         assert 0.26 in iv
+
+    def test_admit_returns_float_or_raises_the_one_message(self):
+        iv = mixture_interval(2, 4)
+        assert iv.admit(0.875) == 0.875 and type(iv.admit(np.float32(0.75))) is float
+        message = r"^q=0\.5 inadmissible: outside \(0\.5, 0\.875\] for \|NE\|=2, \|A\|=4$"
+        with pytest.raises(InputError, match=message):
+            iv.admit(0.5)
+        with pytest.raises(ConfigError, match=message):
+            iv.admit(0.5, ConfigError)
 
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(InputError):
@@ -288,3 +305,63 @@ class TestIndexCeiling:
         data = MixtureModel(space, PsneSet([0, top]), 0.5).sample(1000, 3)
         assert 0 <= data.indices.min() and data.indices.max() <= top
         assert Dataset(space, [top]).actions_matrix().tolist() == [[2] * 63]
+
+
+# every caller of the q rule, on |A| = 4: (error class, |NE|, call with q)
+Q_CALLERS = {
+    "MixtureModel": (InputError, 2, lambda q: MixtureModel(SPACE4, PsneSet([0, 3]), q)),
+    "superset_recovery_margin": (InputError, 2, lambda q: superset_recovery_margin(2, q, 4)),
+    "map_decoder": (InputError, 1, lambda q: map_decoder(Dataset(SPACE4, [0]), 1, q)),
+    "run_recovery": (
+        ConfigError,
+        2,
+        lambda q: run_recovery(
+            ExperimentConfig(
+                kind="recovery", n=2, k=1, q_star=q, m_schedule=(5,), trials=2,
+                truth_psne=(0, 3),
+            )
+        ),
+    ),
+    "run_fano": (
+        ConfigError,
+        1,
+        lambda q: run_fano(
+            ExperimentConfig(kind="fano", n=2, k=1, m_schedule=(0,), trials=1, fano_q=q)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(Q_CALLERS))
+@pytest.mark.parametrize("where", ["open-lower-end", "above-upper-end", "nan"])
+def test_q_rule_at_each_caller(caller, where):
+    error, r, call = Q_CALLERS[caller]
+    iv = mixture_interval(r, 4)
+    q = {"open-lower-end": iv.lower, "above-upper-end": 0.9, "nan": math.nan}[where]
+    with pytest.raises(InputError) as one:
+        iv.admit(q)
+    with pytest.raises(error) as got:
+        call(q)
+    assert type(got.value) is error
+    assert str(got.value) == str(one.value)
+
+
+# every entry point of the joint-index rule on |A| = 6; an action-based one
+# gets the value as player 2's action
+INDEX_ENTRY_POINTS = {
+    "encode_joint_action": lambda space, v: encode_joint_action(space, (1, v)),
+    "decode_joint_action": decode_joint_action,
+    "Dataset": lambda space, v: Dataset(space, [v]),
+    "Dataset.from_actions": lambda space, v: Dataset.from_actions(space, [[1, v]]),
+    "pmf": lambda space, v: MixtureModel(space, PsneSet([0]), 0.5).pmf(v),
+    "scaled_nll": lambda space, v: MixtureModel(space, PsneSet([0]), 0.5).scaled_nll(v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "value", [-1, 6, 10**30, 1.5], ids=["negative", "joint-size", "past-int64", "non-integer"]
+)
+def test_index_rule_at_every_entry_point(entry, value):
+    with pytest.raises(InputError):
+        INDEX_ENTRY_POINTS[entry](ActionSpace((2, 3)), value)
