@@ -11,6 +11,17 @@ all of it together.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# Nothing here gives BLAS work worth sharing, yet OpenBLAS's worker threads spin:
+# load numpy with one BLAS thread unless the caller chose a count.
+if not _os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .bounds import (
     fano_error_lower_bound,
     fano_pair_kl,
@@ -25,7 +36,6 @@ from .estimator import (
     FitResult,
     count_grid_games,
     enumerate_psne_sets,
-    explicit_family,
     fit_mle,
     optimal_q,
     population_mle,
@@ -92,7 +102,6 @@ __all__ = [
     "enumerate_psne_sets",
     "expected_log_pmf",
     "expected_nll",
-    "explicit_family",
     "fano_error_lower_bound",
     "fano_pair_kl",
     "fit_mle",

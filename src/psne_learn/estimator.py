@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -269,11 +269,6 @@ def enumerate_psne_sets(
             members = np.unpackbits(bits, count=size, bitorder="little")
             candidates.append(PsneSet(np.flatnonzero(members)))
     return CandidateFamily(space, candidates, label)
-
-
-def explicit_family(action_sizes, sets: Iterable[Iterable[int]]) -> CandidateFamily:
-    space = ActionSpace(tuple(action_sizes))
-    return CandidateFamily(space, [PsneSet(s) for s in sets], "explicit list")
 
 
 def _clamp_q(q_unconstrained, sizes, joint_size):

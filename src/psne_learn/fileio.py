@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .estimator import CandidateFamily, FitResult
 from .experiments import ExperimentConfig, ResultRow, ResultTable
-from .games import ActionSpace, PolymatrixGame, PsneSet, bounded_joint_size
+from .games import ActionSpace, PolymatrixGame, PsneSet, _integer, bounded_joint_size
 from .mixture import Dataset, check_joint_size
 
 RESULT_COLUMNS = ("m", "metric", "value", "stderr", "trials")
@@ -92,11 +92,11 @@ def write_game(path: str, game: PolymatrixGame) -> None:
 
 def read_game(path: str) -> PolymatrixGame:
     with _json_payload(path, "game") as payload:
-        n = int(payload["n"])
+        n = _integer(payload["n"], "n")
         sizes = list(payload["actions"])
         if len(sizes) != n:
             raise InputError(f"{len(sizes)} action sizes for n={n}")
-        neighbors = {int(i): [int(j) for j in js] for i, js in payload["neighbors"].items()}
+        neighbors = {int(i): js for i, js in payload["neighbors"].items()}
         unary = {int(i): vals for i, vals in payload["unary"].items()}
         pairwise = {}
         for key, flat in payload.get("pairwise", {}).items():
@@ -104,7 +104,7 @@ def read_game(path: str) -> PolymatrixGame:
             pairwise[(i, j)] = np.asarray(flat, dtype=float).reshape(
                 sizes[i - 1], sizes[j - 1]
             )
-    return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
+        return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
 # -- datasets ----------------------------------------------------------

@@ -223,7 +223,7 @@ class PolymatrixGame:
 
         nbr: list[tuple[int, ...]] = []
         for i in range(1, n + 1):
-            parents = tuple(sorted({int(j) for j in neighbors.pop(i, ())}))
+            parents = tuple(sorted({_integer(j, "neighbor") for j in neighbors.pop(i, ())}))
             for j in parents:
                 if not 1 <= j <= n:
                     raise InputError(f"neighbor {j} of player {i} out of range")

@@ -23,19 +23,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .games import (
-    ActionSpace,
-    PolymatrixGame,
-    PsneSet,
-    encode_joint_action,
-    enumerate_psne,
-)
+from .games import ActionSpace, PolymatrixGame, PsneSet, _integer
+from .games import encode_joint_action, enumerate_psne
 from .mixture import Dataset, mixture_interval
 
 
 def influence_psne(pi: Iterable[int], n: int) -> tuple[int, ...]:
     """The joint action playing 1 on pi and 2 everywhere else."""
-    members = {int(i) for i in pi}
+    members = {_integer(i, "influential player") for i in pi}
     if not members <= set(range(1, n + 1)):
         raise InputError(f"influential players {sorted(members)} not within 1..{n}")
     return tuple(1 if i in members else 2 for i in range(1, n + 1))
@@ -64,7 +59,7 @@ def influence_game(
     potential everywhere and never join a best response, which the
     verification confirms rather than assumes.
     """
-    pi = tuple(sorted({int(i) for i in pi}))
+    pi = tuple(sorted({_integer(i, "influential player") for i in pi}))
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must lie in 1..{n - 1}")
     if len(pi) != k:

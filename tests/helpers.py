@@ -37,6 +37,8 @@ from psne_learn.estimator import (
 
 # the `src` directory of the package this process imported
 SRC = Path(psne_learn.__file__).resolve().parent.parent
+# the variables OpenBLAS reads its thread count from
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def child_pythonpath():
@@ -272,6 +274,12 @@ def packed_psne_sets(n, k, sizes, grid):
         if 1 <= int(members.sum()) <= size - 1:
             candidates.append(PsneSet(np.flatnonzero(members)))
     return CandidateFamily(space, candidates, "packed rows")
+
+
+def explicit_family(action_sizes, sets):
+    """The family holding exactly the given PSNE sets."""
+    space = ActionSpace(tuple(action_sizes))
+    return CandidateFamily(space, [PsneSet(s) for s in sets], "explicit list")
 
 
 def all_subsets_family(action_sizes, max_size):

@@ -24,7 +24,6 @@ from psne_learn import (
     MixtureModel,
     PsneSet,
     enumerate_psne_sets,
-    explicit_family,
     fano_error_lower_bound,
     fano_pair_kl,
     mixture_kl,
@@ -37,10 +36,12 @@ from psne_learn import (
     superset_recovery_margin,
 )
 from helpers import (
+    BLAS_THREAD_VARS,
     bimatrix_psne_sets,
     brute_is_psne,
     child_pythonpath,
     enumerate_grid_games,
+    explicit_family,
     random_grid_game,
 )
 
@@ -249,8 +250,13 @@ def test_criterion_8_fano_minimax():
 
 
 def _cli(tmp_path, threads, *argv):
+    """Run the CLI with `threads` OpenBLAS threads, or with none of the BLAS
+    thread variables set (the library's default) when `threads` is None."""
     path = child_pythonpath()
-    env = dict(os.environ, PSNE_LEARN_THREADS=str(threads), PYTHONPATH=path)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = path
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
     args = [sys.executable, "-m", "psne_learn.cli", *argv]
     proc = subprocess.run(
         args,
@@ -272,7 +278,7 @@ def test_criterion_9_cli_determinism_across_workers(tmp_path):
         "q = 0.7\nm_schedule = 1,40\ntrials = 16\nseed = 9\n"
     )
     outputs = {}
-    for threads in (1, 4, 16):
+    for threads in (None, 1, 4, 16):
         tag = f"t{threads}"
         stdouts = []
         stdouts.append(
@@ -317,8 +323,8 @@ def test_criterion_9_cli_determinism_across_workers(tmp_path):
             "results": (tmp_path / f"res-{tag}.csv").read_bytes(),
             "meta": (tmp_path / f"res-{tag}.csv.meta.json").read_bytes(),
         }
-    assert outputs[1] == outputs[4] == outputs[16]
-    _passed(9, "CLI determinism across 1/4/16 workers", started, 300.0)
+    assert outputs[None] == outputs[1] == outputs[4] == outputs[16]
+    _passed(9, "CLI determinism across default/1/4/16 BLAS threads", started, 300.0)
 
 
 def test_criterion_10_candidate_count_oracle():

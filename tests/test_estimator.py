@@ -20,7 +20,6 @@ from psne_learn import (
     enumerate_psne,
     enumerate_psne_sets,
     expected_nll,
-    explicit_family,
     fit_mle,
     optimal_q,
     population_mle,
@@ -30,6 +29,7 @@ from helpers import (
     all_subsets_family,
     direct_player_regions,
     enumerate_grid_games,
+    explicit_family,
     games_psne_sets,
     packed_psne_sets,
 )

@@ -55,6 +55,17 @@ class TestGameRoundTrip:
         with pytest.raises(InputError):
             read_game(str(path))
 
+    @pytest.mark.parametrize(
+        "key, value", [("n", 2.5), ("neighbors", {"1": [2.7], "2": []})]
+    )
+    def test_non_integer_player_numbers_rejected(self, tmp_path, key, value):
+        path = tmp_path / "game.json"
+        write_game(str(path), PolymatrixGame((2, 2), neighbors={1: [2]}))
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(InputError, match=r"game\.json.*must be an integer"):
+            read_game(str(path))
+
 
 @pytest.mark.parametrize("content", ["{bad", "{}"])
 @pytest.mark.parametrize(

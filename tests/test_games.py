@@ -83,8 +83,12 @@ def test_joint_action_checked_everywhere(checker, x):
         lambda: ActionSpace("22"),
         lambda: ActionSpace((2.0, 2)),
         lambda: ActionSpace((True, 2)),
+        lambda: PolymatrixGame([2, 2], neighbors={1: [2.9]}),
     ],
-    ids=["psne-half", "psne-bool", "psne-float", "space-text", "space-float", "space-bool"],
+    ids=[
+        "psne-half", "psne-bool", "psne-float",
+        "space-text", "space-float", "space-bool", "game-neighbor",
+    ],
 )
 def test_non_integers_rejected_not_truncated(build):
     with pytest.raises(InputError, match="must be an integer"):

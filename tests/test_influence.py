@@ -37,6 +37,10 @@ class TestInfluencePsne:
         with pytest.raises(InputError):
             influence_psne([5], 4)
 
+    def test_non_integer_player_rejected_not_truncated(self):
+        with pytest.raises(InputError, match="must be an integer"):
+            influence_psne([True], 2)
+
 
 class TestInfluenceGame:
     def test_small_examples(self):
@@ -88,6 +92,10 @@ class TestInfluenceGame:
             influence_game(3, 3, [1, 2, 3])
         with pytest.raises(InputError):
             influence_game(3, 2, [1])
+
+    def test_non_integer_player_rejected_not_truncated(self):
+        with pytest.raises(InputError, match="must be an integer"):
+            influence_game(3, 1, [1.6])
 
 
 def brute_map_decoder(data, k, q):
