@@ -36,6 +36,7 @@ from .estimator import (
     FitResult,
     count_grid_games,
     enumerate_psne_sets,
+    fit_counts,
     fit_mle,
     optimal_q,
     population_mle,
@@ -104,6 +105,7 @@ __all__ = [
     "expected_nll",
     "fano_error_lower_bound",
     "fano_pair_kl",
+    "fit_counts",
     "fit_mle",
     "influence_game",
     "influence_psne",

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InputError, check_capacity
 from .games import ActionSpace, PsneSet, _best_response_grid, bounded_joint_size
+from .games import _int64_array
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
@@ -107,14 +108,25 @@ def _normalize_grid(grid) -> tuple[float, ...]:
     return vals
 
 
-def _check_class_params(n: int, k: int, action_sizes) -> tuple[int, ...]:
+def _class_param_problems(n: int, k: int, action_sizes) -> list[str]:
+    """One message per broken rule of the hypothesis class: n >= 2,
+    0 <= k <= n - 1 and, unless `action_sizes` is None, one size per
+    player.  Builds nothing, so any n is cheap."""
+    problems = []
     if n < 2:
-        raise InputError(f"need at least 2 players, got n={n}")
-    if not 0 <= k <= n - 1:
-        raise InputError(f"parent budget k={k} outside 0..{n - 1}")
+        problems.append(f"n must be at least 2, got {n}")
+    if not 0 <= k <= max(n - 1, 0):
+        problems.append(f"parent budget k={k} outside 0..{n - 1}")
+    if action_sizes is not None and len(action_sizes) != n:
+        problems.append(f"{len(action_sizes)} action sizes for {n} players")
+    return problems
+
+
+def _check_class_params(n: int, k: int, action_sizes) -> tuple[int, ...]:
     sizes = tuple(action_sizes)
-    if len(sizes) != n:
-        raise InputError(f"expected {n} action sizes, got {len(sizes)}")
+    problems = _class_param_problems(n, k, sizes)
+    if problems:
+        raise InputError("; ".join(problems))
     return ActionSpace(sizes).counts
 
 
@@ -327,19 +339,36 @@ def _scan(family: CandidateFamily, inside, outside, total) -> FitResult:
     return _select(family, objective, q, clamped)
 
 
-def fit_mle(family: CandidateFamily, data: Dataset) -> FitResult:
-    """Empirical MLE over the family.
+def fit_counts(family: CandidateFamily, counts) -> FitResult:
+    """Empirical MLE over the family from a histogram of joint indices:
+    counts[x] observations of joint index x, m = counts.sum() in all.
 
-    The dataset enters only through per-candidate in-set counts, taken from
-    a histogram of joint indices, so the scan is a single matrix product.
+    The data enter only through per-candidate in-set counts, so the scan
+    is a single matrix product.
     """
-    _check_fit(family, data.space, "dataset")
-    if data.m == 0:
+    _check_fit(family, family.space, "counts")  # counts carry only their length
+    size = family.space.joint_size
+    hist = _int64_array(counts, "observation count")
+    if hist.shape != (size,):
+        raise InputError(
+            f"expected {size} observation counts, one per joint action, "
+            f"got shape {hist.shape}"
+        )
+    if hist.min() < 0:
+        raise InputError("observation counts must be nonnegative")
+    m = float(hist.sum())
+    if m == 0:
         raise InputError("cannot fit on an empty dataset")
+    inside = _in_set(family, hist)
+    return _scan(family, inside, m - inside, m)
+
+
+def fit_mle(family: CandidateFamily, data: Dataset) -> FitResult:
+    """Empirical MLE over the family: `fit_counts` on the dataset's
+    histogram of joint indices."""
+    _check_fit(family, data.space, "dataset")
     hist = np.bincount(data.indices, minlength=family.space.joint_size)
-    counts = _in_set(family, hist)
-    m = float(data.m)
-    return _scan(family, counts, m - counts, m)
+    return fit_counts(family, hist)
 
 
 def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:

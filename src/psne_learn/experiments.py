@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .bounds import fano_error_lower_bound
 from .errors import ConfigError, InputError
-from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_mle
-from .estimator import _normalize_grid
+from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_counts
+from .estimator import _normalize_grid, _class_param_problems
 from .games import ActionSpace, PsneSet, bounded_joint_size, encode_joint_action
 from .influence import all_influence_sets, influence_game, influence_psne, map_decoder
 from .mixture import MixtureModel, check_joint_size, expected_nll, mixture_interval
@@ -54,13 +54,8 @@ class ExperimentConfig:
         problems = []
         if self.kind not in KINDS:
             problems.append(f"kind must be one of {'/'.join(KINDS)}, got {self.kind!r}")
-        if self.n < 2:
-            problems.append(f"n must be at least 2, got {self.n}")
-        if not 0 <= self.k <= max(self.n - 1, 0):
-            problems.append(f"k={self.k} outside 0..{self.n - 1}")
         sizes = self.action_sizes
-        if sizes and len(sizes) != self.n:
-            problems.append(f"{len(sizes)} action sizes for {self.n} players")
+        problems += _class_param_problems(self.n, self.k, sizes or None)
         if not self.m_schedule:
             problems.append("m_schedule must be nonempty")
         if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
@@ -168,7 +163,8 @@ def _table(rows, meta: dict) -> ResultTable:
 def _fit_trials(config: ExperimentConfig):
     """The sample-and-fit loop shared by the recovery and gap harnesses.
 
-    Builds the family, chooses the truth, and fits every trial's draw.
+    Builds the family, chooses the truth, and fits every trial's draw from
+    its tally of joint indices, never materializing the draw itself.
     Returns the family, the truth, one (m, fits) pair per sample size with
     the fits in trial-index order, and the metadata both harnesses write.
     """
@@ -179,7 +175,7 @@ def _fit_trials(config: ExperimentConfig):
         fits = []
         for ti in range(config.trials):
             (data_seed,) = _trial_words(config.seed, mi, ti, 1)
-            fits.append(fit_mle(family, truth.sample(m, data_seed)))
+            fits.append(fit_counts(family, truth.tally(m, data_seed)))
         trials.append((m, fits))
     meta = _base_meta(config)
     meta["derived"] = {

@@ -13,6 +13,12 @@ by c = ln(2|A|^2) so each per-observation loss lands in [0, 1].
 
 All log-likelihood arithmetic happens on set cardinalities in log space;
 only the q interval's float endpoints need |A| within float range.
+
+One block generator (`MixtureModel._blocks`) draws a sample SAMPLE_BLOCK
+joint indices at a time.  `sample` writes its blocks straight into a
+dataset's index array; `tally` adds each block's histogram into counts
+per joint index, which is all the MLE fit reads, and never holds the
+m-long draw.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .games import INDEX_CEILING, ActionSpace, PsneSet  # INDEX_CEILING: re-exported
+from .errors import InputError, check_capacity
+from .games import INDEX_CEILING  # re-exported
+from .games import JOINT_CEILING, ActionSpace, PsneSet
 
 SAMPLE_BLOCK = 1 << 13  # doubles per block of the sampler's reused uniform buffer
 
@@ -172,8 +179,9 @@ class MixtureModel:
         """-ln p(x) / ln(2|A|^2), always within [0, 1]."""
         return self._membership(index, self.in_set_nll, self.out_set_nll)
 
-    def sample(self, m: int, seed: int) -> Dataset:
-        """Draw m observations; bit-identical for identical (m, seed).
+    def _blocks(self, m: int, seed: int, out: np.ndarray | None = None):
+        """The draw of m observations, as a generator of each block's joint
+        indices; bit-identical for identical (m, seed).
 
         Each sample consumes two uniforms from one generator stream, taken
         in two passes of SAMPLE_BLOCK doubles through one reused buffer:
@@ -186,42 +194,77 @@ class MixtureModel:
         block draws are exactly the doubles of one m-draw, and both maps
         are exact integer lookups of the same ranks, so the indices depend
         on neither the block size nor the path taken.
+
+        Blocks are written into consecutive slices of `out` when it is
+        given, else into one reused buffer that the next block overwrites.
+        Not itself a generator, so a bad m or seed and the int64 ceiling
+        raise on the call, before anything is allocated or drawn.
         """
         if m < 0:
             raise InputError("sample count must be nonnegative")
         if seed < 0:
             raise InputError(f"seed must be nonnegative, got {seed}")
-        size = self.space.joint_size
         self.space._check_int64()
-        rng = np.random.default_rng(seed)
-        ne = self.psne.as_array()
-        r = ne.size
-        buf = np.empty(min(m, SAMPLE_BLOCK))
-        rank = np.empty(buf.size, dtype=np.int64)
-        signal = np.empty(m, dtype=bool)
-        for lo in range(0, m, SAMPLE_BLOCK):
-            s = signal[lo : lo + SAMPLE_BLOCK]
-            np.less(rng.random(out=buf[: s.size]), self.q, out=s)
-        scale = np.array([size - r, r], dtype=float)
-        if size <= m:
-            table = np.concatenate([np.delete(np.arange(size), ne), ne])
-        else:
-            # the complement rank c is joint index c plus the PSNE indices it skips
-            shifted = ne - np.arange(r, dtype=np.int64)
-        idx = np.empty(m, dtype=np.int64)
-        for lo in range(0, m, SAMPLE_BLOCK):
-            s, out = signal[lo : lo + SAMPLE_BLOCK], idx[lo : lo + SAMPLE_BLOCK]
-            u, k = rng.random(out=buf[: s.size]), rank[: s.size]
-            u *= scale.take(s, mode="clip")
-            np.copyto(k, u, casting="unsafe")
+
+        def blocks():
+            size = self.space.joint_size
+            rng = np.random.default_rng(seed)
+            ne = self.psne.as_array()
+            r = ne.size
+            buf = np.empty(min(m, SAMPLE_BLOCK))
+            rank = np.empty(buf.size, dtype=np.int64)
+            block = np.empty(buf.size, dtype=np.int64) if out is None else None
+            signal = np.empty(m, dtype=bool)
+            for lo in range(0, m, SAMPLE_BLOCK):
+                s = signal[lo : lo + SAMPLE_BLOCK]
+                np.less(rng.random(out=buf[: s.size]), self.q, out=s)
+            scale = np.array([size - r, r], dtype=float)
             if size <= m:
-                k += s * (size - r)
-                table.take(k, out=out, mode="clip")
+                table = np.concatenate([np.delete(np.arange(size), ne), ne])
             else:
-                # signal draws add a stray offset here and are overwritten next
-                np.add(k, shifted.searchsorted(k, side="right"), out=out)
-                np.copyto(out, ne.take(k, mode="clip"), where=s)
+                # the complement rank c is joint index c plus the PSNE indices it skips
+                shifted = ne - np.arange(r, dtype=np.int64)
+            for lo in range(0, m, SAMPLE_BLOCK):
+                s = signal[lo : lo + SAMPLE_BLOCK]
+                idx = block[: s.size] if out is None else out[lo : lo + s.size]
+                u, k = rng.random(out=buf[: s.size]), rank[: s.size]
+                u *= scale.take(s, mode="clip")
+                np.copyto(k, u, casting="unsafe")
+                if size <= m:
+                    k += s * (size - r)
+                    table.take(k, out=idx, mode="clip")
+                else:
+                    # signal draws add a stray offset here and are overwritten next
+                    np.add(k, shifted.searchsorted(k, side="right"), out=idx)
+                    np.copyto(idx, ne.take(k, mode="clip"), where=s)
+                yield idx
+
+        return blocks()
+
+    def sample(self, m: int, seed: int) -> Dataset:
+        """Draw m observations: the blocks of `_blocks` (see there), written
+        straight into the dataset's index array."""
+        idx = np.empty(max(m, 0), dtype=np.int64)  # a negative m raises below
+        for _ in self._blocks(m, seed, out=idx):
+            pass
         return Dataset(self.space, idx)
+
+    def tally(self, m: int, seed: int) -> np.ndarray:
+        """Int64 counts of the m observations `sample(m, seed)` draws, one
+        per joint index: np.bincount(sample(m, seed).indices, minlength=|A|),
+        summed block by block with no m-long array.  CapacityError past
+        JOINT_CEILING joint actions, the length of the counts."""
+        blocks = self._blocks(m, seed)
+        size = self.space.joint_size
+        check_capacity("sample tally", size, JOINT_CEILING, "joint actions")
+        counts = np.zeros(size, dtype=np.int64)
+        for idx in blocks:
+            # a bincount costs |A| per block; past the block, add.at costs the block
+            if size <= idx.size:
+                counts += np.bincount(idx, minlength=size)
+            else:
+                np.add.at(counts, idx, 1)
+        return counts
 
     def mass(self, overlap, set_size):
         """Probability of a set of `set_size` joint actions, `overlap` of

@@ -474,6 +474,28 @@ MALFORMED = {
         2,
         "ln C(n, k) past log-gamma's accuracy needs min(k, n - k) <= 64",
     ),
+    # one message per class rule, as an input error (2) from the family
+    # build and as a configuration error (3) from the experiment config
+    **{
+        f"{sub}-{rule}": (
+            [*argv, *flags, "--out", "{out}"],
+            code,
+            message,
+        )
+        for sub, argv, code in (
+            ("enumerate", ["enumerate"], 2),
+            ("recovery", ["experiment", "--kind", "recovery"], 3),
+        )
+        for rule, flags, message in (
+            ("n1", ["--n", "1", "--k", "0"], "n must be at least 2, got 1"),
+            ("k-past-n", ["--n", "3", "--k", "5"], "parent budget k=5 outside 0..2"),
+            (
+                "sizes-for-n",
+                ["--n", "3", "--k", "1", "--actions", "2,2"],
+                "2 action sizes for 3 players",
+            ),
+        )
+    },
 }
 
 

@@ -1,16 +1,23 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from psne_learn import (
     ConfigError,
     ExperimentConfig,
+    InputError,
+    enumerate_psne_sets,
+    fit_counts,
+    fit_mle,
     run_experiment,
     run_fano,
     run_generalization_gap,
     run_recovery,
 )
+from psne_learn.experiments import _fit_trials, _trial_words
+from psne_learn.mixture import SAMPLE_BLOCK
 
 
 def metric_rows(table, metric):
@@ -183,6 +190,57 @@ class TestFano:
         assert table.meta["derived"]["enumerated"] is False
         assert table.meta["derived"]["hypothesis_count"] == 27405
         assert run_fano(config) == table
+
+
+class TestFitTrials:
+    """The trial loop fits each draw from its tally; the old formula fits
+    the materialized sample, and the two must agree trial by trial."""
+
+    EDGES = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 7)
+
+    @pytest.mark.parametrize(
+        "sizes, small",
+        [((2, 2, 2), (1, 3, 7)), ((3, 2, 2), (1, 5, 11))],  # each m < |A|
+        ids=["binary", "3-2-2"],
+    )
+    def test_matches_fit_of_materialized_sample(self, sizes, small):
+        config = ExperimentConfig(
+            kind="gap",
+            n=3,
+            k=2,
+            action_sizes=sizes,
+            m_schedule=small + self.EDGES,
+            trials=3,
+            seed=5,
+        )
+        family, truth, trials, _ = _fit_trials(config)
+        assert [m for m, _ in trials] == list(config.m_schedule)
+        for mi, (m, fits) in enumerate(trials):
+            for ti, fit in enumerate(fits):
+                (data_seed,) = _trial_words(config.seed, mi, ti, 1)
+                assert fit == fit_mle(family, truth.sample(m, data_seed))
+
+    def test_fit_counts_input_errors(self):
+        family = enumerate_psne_sets(2, 1, (2, 2))
+        fit = fit_counts(family, [3, 0, 1, 0])
+        assert fit == fit_counts(family, np.array([3, 0, 1, 0], dtype=np.int64))
+        length = "expected 4 observation counts, one per joint action"
+        cases = {
+            "wrong length": (family, [3, 0, 1], length),
+            "all zeros": (family, [0, 0, 0, 0], "cannot fit on an empty dataset"),
+            "negative count": (family, [3, -1, 1, 0], "must be nonnegative"),
+            "non-integer count": (family, [3.5, 0, 1, 0], "must be an integer"),
+            # counts of a (2, 3) space against a (2, 2) family
+            "mismatched family": (family, [1, 0, 0, 0, 0, 2], length),
+            "empty family": (
+                enumerate_psne_sets(2, 1, (2, 2), grid=(0.0,)),
+                [1, 0, 0, 0],
+                "empty candidate family",
+            ),
+        }
+        for fam, counts, message in cases.values():
+            with pytest.raises(InputError, match=message):
+                fit_counts(fam, counts)
 
 
 class TestDispatcher:

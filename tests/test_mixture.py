@@ -195,6 +195,55 @@ class TestSampling:
             model.sample(1, -1)
 
 
+class TestTally:
+    # the block edges of TestSampling, on the joint-index table (|A| <= m)
+    # and on the rank lookup (|A| > m): the 2**13-joint space switches
+    # between SAMPLE_BLOCK - 1 and SAMPLE_BLOCK, the larger ones never do
+    COUNTS = (0, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 7)
+
+    def test_matches_histogram_of_sample(self):
+        rng = np.random.default_rng(2025)
+        for sizes in [(2, 2), (3, 2, 2), (4, 4, 5), (2,) * 13, (2,) * 16, (2,) * 20]:
+            space = ActionSpace(sizes)
+            size = space.joint_size
+            extremes = [1, size - 1] if size <= 2**16 else [1, 2]
+            for r in extremes + [int(v) for v in rng.integers(1, min(size, 40), 2)]:
+                psne = PsneSet(rng.choice(size, size=r, replace=False))
+                iv = mixture_interval(r, size)
+                q = iv.lower + (iv.upper - iv.lower) * float(rng.uniform(0.05, 1.0))
+                model = MixtureModel(space, psne, q)
+                for m in self.COUNTS:
+                    seed = int(rng.integers(2**32))
+                    counts = model.tally(m, seed)
+                    expected = np.bincount(model.sample(m, seed).indices, minlength=size)
+                    assert counts.dtype == np.int64 and counts.shape == (size,)
+                    assert np.array_equal(counts, expected)
+                    oracle = masked_sample_indices(model, m, seed)
+                    assert np.array_equal(counts, np.bincount(oracle, minlength=size))
+
+    def test_bad_count_or_seed_raises_on_the_call(self):
+        model = MixtureModel(SPACE4, PsneSet([0]), 0.5)
+        for m, seed in ((-1, 0), (1, -1)):
+            with pytest.raises(InputError):
+                model.tally(m, seed)
+            # the shared block generator raises before its first block
+            with pytest.raises(InputError):
+                model._blocks(m, seed)
+
+    def test_joint_ceiling(self):
+        space = ActionSpace((2,) * 25)  # 2**25 joint actions, past 2**24
+        model = MixtureModel(space, PsneSet([0]), 0.5)
+        message = r"^sample tally reached 33554432 joint actions, ceiling is 16777216$"
+        with pytest.raises(CapacityError, match=message):
+            model.tally(1, 0)
+        assert model.sample(1, 0).m == 1  # a draw itself is not bounded there
+        huge = MixtureModel(TestIndexCeiling.HUGE, PsneSet([0]), 0.5)
+        with pytest.raises(CapacityError, match=TestIndexCeiling.MESSAGE):
+            huge._blocks(1, 0)
+        with pytest.raises(CapacityError):
+            huge.tally(1, 0)
+
+
 class TestEmpiricalNll:
     def test_constant_dataset(self):
         model = MixtureModel(SPACE4, PsneSet([0]), 0.5)
