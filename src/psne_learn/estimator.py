@@ -312,9 +312,13 @@ def _select(family: CandidateFamily, objective, q, clamped) -> FitResult:
     )
 
 
-def _check_fit(family: CandidateFamily, space: ActionSpace, source: str) -> None:
+def _check_family(family: CandidateFamily) -> None:
     if len(family) == 0:
         raise InputError("cannot fit over an empty candidate family")
+
+
+def _check_fit(family: CandidateFamily, space: ActionSpace, source: str) -> None:
+    _check_family(family)
     if space.counts != family.space.counts:
         raise InputError(f"{source} and family action spaces differ")
 
@@ -339,14 +343,22 @@ def _scan(family: CandidateFamily, inside, outside, total) -> FitResult:
     return _select(family, objective, q, clamped)
 
 
+def _fit_histogram(family: CandidateFamily, hist: np.ndarray, m: int) -> FitResult:
+    """The fit from m observations whose int64 histogram of joint indices
+    is `hist`.  The data enter only through per-candidate in-set counts,
+    so the scan is a single matrix product."""
+    if m == 0:
+        raise InputError("cannot fit on an empty dataset")
+    inside = _in_set(family, hist)
+    return _scan(family, inside, m - inside, float(m))
+
+
 def fit_counts(family: CandidateFamily, counts) -> FitResult:
     """Empirical MLE over the family from a histogram of joint indices:
     counts[x] observations of joint index x, m = counts.sum() in all.
-
-    The data enter only through per-candidate in-set counts, so the scan
-    is a single matrix product.
-    """
-    _check_fit(family, family.space, "counts")  # counts carry only their length
+    The counts carry only their length, so that is all that is checked
+    against the family's space."""
+    _check_family(family)
     size = family.space.joint_size
     hist = _int64_array(counts, "observation count")
     if hist.shape != (size,):
@@ -356,19 +368,20 @@ def fit_counts(family: CandidateFamily, counts) -> FitResult:
         )
     if hist.min() < 0:
         raise InputError("observation counts must be nonnegative")
-    m = float(hist.sum())
-    if m == 0:
-        raise InputError("cannot fit on an empty dataset")
-    inside = _in_set(family, hist)
-    return _scan(family, inside, m - inside, m)
+    # exact, so that a total past int64 is caught rather than wrapped; below
+    # it, no candidate's in-set count can wrap either
+    m = hist.sum(dtype=object)
+    if m >= 2**63:
+        raise InputError(f"observation counts total {m}, past int64")
+    return _fit_histogram(family, hist, m)
 
 
 def fit_mle(family: CandidateFamily, data: Dataset) -> FitResult:
-    """Empirical MLE over the family: `fit_counts` on the dataset's
+    """Empirical MLE over the family: the `fit_counts` fit on the dataset's
     histogram of joint indices."""
     _check_fit(family, data.space, "dataset")
     hist = np.bincount(data.indices, minlength=family.space.joint_size)
-    return fit_counts(family, hist)
+    return _fit_histogram(family, hist, data.m)
 
 
 def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:

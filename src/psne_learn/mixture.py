@@ -17,8 +17,8 @@ only the q interval's float endpoints need |A| within float range.
 One block generator (`MixtureModel._blocks`) draws a sample SAMPLE_BLOCK
 joint indices at a time.  `sample` writes its blocks straight into a
 dataset's index array; `tally` adds each block's histogram into counts
-per joint index, which is all the MLE fit reads, and never holds the
-m-long draw.
+per joint index, which is all the MLE fit reads.  A tally holds no
+m-long index array, only the m-byte signal mask of the first pass.
 """
 
 from __future__ import annotations
@@ -252,18 +252,15 @@ class MixtureModel:
     def tally(self, m: int, seed: int) -> np.ndarray:
         """Int64 counts of the m observations `sample(m, seed)` draws, one
         per joint index: np.bincount(sample(m, seed).indices, minlength=|A|),
-        summed block by block with no m-long array.  CapacityError past
-        JOINT_CEILING joint actions, the length of the counts."""
+        summed block by block.  It holds no m-long index array, only the
+        m-byte signal mask that `_blocks`' two passes need.  CapacityError
+        past JOINT_CEILING joint actions, the length of the counts."""
         blocks = self._blocks(m, seed)
         size = self.space.joint_size
         check_capacity("sample tally", size, JOINT_CEILING, "joint actions")
         counts = np.zeros(size, dtype=np.int64)
         for idx in blocks:
-            # a bincount costs |A| per block; past the block, add.at costs the block
-            if size <= idx.size:
-                counts += np.bincount(idx, minlength=size)
-            else:
-                np.add.at(counts, idx, 1)
+            counts += np.bincount(idx, minlength=size)
         return counts
 
     def mass(self, overlap, set_size):

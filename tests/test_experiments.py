@@ -232,6 +232,9 @@ class TestFitTrials:
             "non-integer count": (family, [3.5, 0, 1, 0], "must be an integer"),
             # counts of a (2, 3) space against a (2, 2) family
             "mismatched family": (family, [1, 0, 0, 0, 0, 2], length),
+            # int64 sums of these would wrap to 0 and to -2**63
+            "total past int64": (family, [2**62] * 4, f"total {2**64}, past int64"),
+            "total at 2**63": (family, [2**62, 2**62, 0, 0], "past int64"),
             "empty family": (
                 enumerate_psne_sets(2, 1, (2, 2), grid=(0.0,)),
                 [1, 0, 0, 0],
