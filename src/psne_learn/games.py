@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import InputError, check_capacity
 
-# joint actions `enumerate_psne` may sweep
-JOINT_CEILING = 2**24
+JOINT_CEILING = 2**24  # max |A| to join in enumerate_psne (<= |A| int64 candidates) or tally
 INDEX_CEILING = 2**63  # samples and datasets hold joint indices 0..|A|-1 as int64
 
 
@@ -349,20 +348,34 @@ def _best_response_grid(
 
 
 def enumerate_psne(game: PolymatrixGame) -> PsneSet:
-    """Exact PSNE set of a game, by sweep over the full joint space.
+    """Exact PSNE set of a game, by a join over players in scope order.
 
-    The joint space is a boolean array of shape `space.counts` (it must not
-    exceed JOINT_CEILING); each player's best-response grid broadcasts over
-    it and clears the joint actions where that player would deviate, so
-    the survivors' flat positions are the equilibria in ascending order.
+    Players are placed by scope size (the player and its parents), ties to
+    the lower index; a candidate is the int64 joint index of the actions
+    placed so far.  Once a player's scope is placed, one gather from its
+    best-response grid drops the candidates where it would deviate.  The
+    survivors are the equilibria.  At most |A| <= JOINT_CEILING candidates
+    live: few in a sparse game with strict best responses, all of |A| if no
+    check fires before the last placement.
     """
     space = game.space
     check_capacity("PSNE sweep", space.joint_size, JOINT_CEILING, "joint actions")
-    ok = np.ones(space.counts, dtype=bool)
-    for i in range(1, game.n + 1):
-        tables = {j: game.pairwise_table(i, j) for j in game.neighbors(i)}
-        ok &= _best_response_grid(space, i, game.unary_table(i), tables)
-    return PsneSet(np.flatnonzero(ok))
+    scope = {i: {i, *game.neighbors(i)} for i in range(1, game.n + 1)}
+    placed, cand = set(), np.zeros(1, dtype=np.int64)
+    for p in sorted(scope, key=lambda i: (len(scope[i]), i)):
+        placed.add(p)
+        cand = (cand[:, None] + space.strides[p - 1] * np.arange(space.counts[p - 1])).ravel()
+        for i in [i for i in scope if p in scope[i] and scope[i] <= placed]:
+            tables = {j: game.pairwise_table(i, j) for j in game.neighbors(i)}
+            br = _best_response_grid(space, i, game.unary_table(i), tables)
+            # the grid's flat index: a run of consecutive scope players is one digit
+            flat, run = 0, 1
+            for j in sorted(scope[i]):
+                run *= space.counts[j - 1]
+                if j + 1 not in scope[i]:
+                    flat, run = flat * run + cand // space.strides[j - 1] % run, 1
+            cand = cand[br.ravel()[flat]]
+    return PsneSet(cand)
 
 
 class LinearPsneForm:

@@ -30,7 +30,7 @@ from .mixture import Dataset, mixture_interval
 
 def influence_psne(pi: Iterable[int], n: int) -> tuple[int, ...]:
     """The joint action playing 1 on pi and 2 everywhere else."""
-    members = {_integer(i, "influential player") for i in pi}
+    n, members = _integer(n, "n"), {_integer(i, "influential player") for i in pi}
     if not members <= set(range(1, n + 1)):
         raise InputError(f"influential players {sorted(members)} not within 1..{n}")
     return tuple(1 if i in members else 2 for i in range(1, n + 1))
@@ -59,6 +59,7 @@ def influence_game(
     potential everywhere and never join a best response, which the
     verification confirms rather than assumes.
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     pi = tuple(sorted({_integer(i, "influential player") for i in pi}))
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must lie in 1..{n - 1}")
@@ -111,7 +112,7 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
     candidate observed the answer is (1, ..., k).
     """
     space = data.space
-    n = space.n
+    n, k = space.n, _integer(k, "k")
     if not 1 <= k <= n - 1:
         raise InputError(f"k={k} must lie in 1..{n - 1}")
     mixture_interval(1, space.joint_size).admit(q)
@@ -132,4 +133,4 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
 
 def all_influence_sets(n: int, k: int) -> list[tuple[int, ...]]:
     """Every size-k player subset, in lexicographic order."""
-    return list(itertools.combinations(range(1, n + 1), k))
+    return list(itertools.combinations(range(1, _integer(n, "n") + 1), _integer(k, "k")))

@@ -25,7 +25,6 @@ from psne_learn import (
     PsneSet,
     count_grid_games,
     encode_joint_action,
-    enumerate_psne,
 )
 from psne_learn.errors import check_capacity
 from psne_learn.estimator import (
@@ -34,6 +33,7 @@ from psne_learn.estimator import (
     _check_class_params,
     _normalize_grid,
 )
+from psne_learn.games import _best_response_grid
 
 # the `src` directory of the package this process imported
 SRC = Path(psne_learn.__file__).resolve().parent.parent
@@ -76,6 +76,18 @@ def brute_psne_set(game):
         for x in all_joint_actions(space.counts)
         if brute_is_psne(game, x)
     )
+
+
+def sweep_psne_set(game):
+    """PSNE set by sweeping the full joint space: a boolean array of shape
+    `space.counts`, ANDed with every player's `_best_response_grid`, whose
+    surviving flat positions are the equilibria in ascending order.  The
+    join in `enumerate_psne` must reproduce it."""
+    ok = np.ones(game.space.counts, dtype=bool)
+    for i in range(1, game.n + 1):
+        tables = {j: game.pairwise_table(i, j) for j in game.neighbors(i)}
+        ok &= _best_response_grid(game.space, i, game.unary_table(i), tables)
+    return PsneSet(np.flatnonzero(ok))
 
 
 def spin_psne_set(weights):
@@ -225,13 +237,14 @@ def direct_player_regions(n, k, sizes, grid, i, space):
 def games_psne_sets(n, k, sizes, grid):
     """The grid-game family the slow way: every game's own PSNE set.
 
-    Maps the whole normalized game stream through the exact PSNE sweep, the
-    definition that region intersection in `enumerate_psne_sets` shortcuts.
+    Maps the whole normalized game stream through the full joint-space
+    sweep, the definition that region intersection in `enumerate_psne_sets`
+    shortcuts.
     """
     space = ActionSpace(sizes)
     found = {}
     for game in enumerate_grid_games(n, k, sizes, grid):
-        psne = enumerate_psne(game)
+        psne = sweep_psne_set(game)
         if 1 <= len(psne) <= space.joint_size - 1:
             found[psne.indices] = psne
     return CandidateFamily(space, list(found.values()), "grid-game stream")

@@ -16,7 +16,13 @@ from psne_learn import (
     enumerate_psne,
     influence_game,
 )
-from helpers import all_joint_actions, brute_is_psne, random_grid_game, spin_psne_set
+from helpers import (
+    all_joint_actions,
+    brute_is_psne,
+    random_grid_game,
+    spin_psne_set,
+    sweep_psne_set,
+)
 
 
 def coordination_game():
@@ -206,8 +212,8 @@ class TestEnumeratePsne:
         for _ in range(10):
             sizes = tuple(int(rng.integers(2, 4)) for _ in range(3))
             games.append(random_grid_game(rng, 3, 2, sizes, (-1.0, 0.0, 1.0)))
-        # matching pennies between players 1 and 2: the sweep empties at
-        # player 2, before player 3 is reached
+        # matching pennies between players 1 and 2: no candidate survives
+        # their checks
         pennies = PolymatrixGame(
             [2, 2, 3],
             neighbors={1: [2], 2: [1]},
@@ -235,6 +241,78 @@ class TestEnumeratePsne:
             game = random_grid_game(rng, n, n - 1, sizes, (-1.0, 0.0, 1.0))
             assert enumerate_psne(game) == brute_psne_set_local(game)
             checked += 1
+
+
+def join_matches_oracles(game):
+    """`enumerate_psne(game)`, asserted equal to the full joint-space sweep
+    and, up to 4,096 joint actions, to the brute-force check."""
+    found = enumerate_psne(game)
+    assert found == sweep_psne_set(game)
+    if game.space.joint_size <= 4096:
+        assert found == brute_psne_set_local(game)
+    return found
+
+
+class TestJoin:
+    """The scope-order join against the sweep it replaced and brute force."""
+
+    def test_every_influence_game_n16_k2(self):
+        for pi in itertools.combinations(range(1, 17), 2):
+            inst = influence_game(16, 2, pi)
+            assert join_matches_oracles(inst.game) == PsneSet([inst.psne_index])
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_grid_games_mixed_sizes(self, n, k):
+        rng = np.random.default_rng(100 + 10 * n + k)
+        for _ in range(6):
+            sizes = tuple(int(s) for s in rng.integers(2, 4, size=n))
+            # at most 2**22 joint actions keeps the sweep oracle fast
+            while np.prod(sizes) > 2**22:
+                sizes = tuple(int(s) for s in rng.integers(2, 4, size=n))
+            join_matches_oracles(random_grid_game(rng, n, k, sizes, (-1.0, 0.0, 1.0)))
+
+    def test_complete_graph_spin_game(self):
+        w = np.random.default_rng(7).choice([-1.0, 1.0], size=(10, 10))
+        game = embed_binary_weight_game(w)
+        assert all(len(game.neighbors(i)) == 9 for i in range(1, 11))
+        assert join_matches_oracles(game) == spin_psne_set(w)
+
+    def test_zero_game_keeps_every_candidate(self):
+        assert join_matches_oracles(PolymatrixGame([2] * 12)) == PsneSet(range(4096))
+
+    def test_one_player(self):
+        game = PolymatrixGame([4], unary={1: [0.0, 2.0, 1.0, 2.0]})
+        assert join_matches_oracles(game) == PsneSet([1, 3])
+
+    def test_candidates_die_early(self):
+        # matching pennies between players 1 and 2 (scope 2) kills every
+        # candidate before players 3 and 4 (scope 3, on the pennies pair)
+        # are placed and checked
+        pennies = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]
+        follow = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        game = PolymatrixGame(
+            [2, 2, 3, 2],
+            neighbors={1: [2], 2: [1], 3: [1, 2], 4: [1, 3]},
+            pairwise={(1, 2): pennies[0], (2, 1): pennies[1], (3, 1): np.transpose(follow)},
+        )
+        assert len(join_matches_oracles(game)) == 0
+
+    def test_parents_above_the_child(self):
+        # every parent carries a higher index than its child, so each check
+        # waits for players placed after the child
+        rng = np.random.default_rng(8)
+        for sizes in [(2, 3, 2, 2, 3, 2), (3, 2, 2, 3, 2, 2, 2)]:
+            n = len(sizes)
+            neighbors = {i: [j for j in (i + 1, i + 3) if j <= n] for i in range(1, n)}
+            pairwise = {
+                (i, j): rng.choice([-1.0, 0.0, 1.0], size=(sizes[i - 1], sizes[j - 1]))
+                for i, parents in neighbors.items()
+                for j in parents
+            }
+            unary = {n: rng.choice([-1.0, 0.0, 1.0], size=sizes[-1])}
+            game = PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
+            join_matches_oracles(game)
 
 
 def brute_psne_set_local(game):

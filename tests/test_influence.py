@@ -98,6 +98,25 @@ class TestInfluenceGame:
             influence_game(3, 1, [1.6])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: influence_game(3, 2.0, [1]), "k must be an integer, got 2.0"),
+        (lambda: influence_game(3.0, 1, [1]), "n must be an integer, got 3.0"),
+        (lambda: influence_psne([1], 3.0), "n must be an integer, got 3.0"),
+        (lambda: all_influence_sets(3, 1.0), "k must be an integer, got 1.0"),
+        (lambda: all_influence_sets(3.0, 1), "n must be an integer, got 3.0"),
+        (
+            lambda: map_decoder(Dataset(ActionSpace((2, 2, 2)), [0]), 1.5, 0.5),
+            "k must be an integer, got 1.5",
+        ),
+    ],
+)
+def test_non_integer_n_or_k_is_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 def brute_map_decoder(data, k, q):
     """Full likelihood scan over every candidate player set."""
     space = data.space
