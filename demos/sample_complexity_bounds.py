@@ -5,6 +5,12 @@ cover the true equilibrium set (a union-bound/Hoeffding count driven by
 the hypothesis count and the recovery margin), and how many are necessary
 for any method at all (a Fano floor driven by the pairwise KL of the
 hardest instance family).
+
+The Fano floor reaches 1/2 at m = (ln C(n, k) / 2 - ln 2) / KL, of order
+k ln(n/k) / KL; at the default q = 2/|A| the pairwise KL is
+ln(2(|A| - 1)/(|A| - 2)) / (|A| - 1), about ln 2 / (|A| - 1).  So the
+necessary side printed here is a count for the C(n, k)-member influence
+family: it does not show the abstract's Omega(k n log^2 n) rate.
 """
 
 from psne_learn import (

@@ -117,6 +117,13 @@ def fano_error_lower_bound(
     max(0, 1 - (m * KL + ln 2) / ln C(n, k)) where KL is the pairwise
     divergence between family members at the shared mixture weight
     (default q = 2/|A|).  Valid for every decoder; nonincreasing in m.
+
+    The floor reaches 1/2 at m = (ln C(n, k) / 2 - ln 2) / KL, of order
+    k ln(n/k) / KL.  At the default q = 2/|A|,
+    KL = ln(2(|A| - 1)/(|A| - 2)) / (|A| - 1), about ln 2 / (|A| - 1).
+    So the floor certifies that many samples for this C(n, k)-member
+    family only; it does not show the abstract's Omega(k n log^2 n) rate,
+    which would need ln C(n, k) of that order at bounded KL.
     """
     if m < 0:
         raise InputError("sample count must be nonnegative")

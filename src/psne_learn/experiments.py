@@ -23,8 +23,9 @@ from .errors import ConfigError, InputError
 from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_counts
 from .estimator import _normalize_grid, _class_param_problems
 from .games import ActionSpace, PsneSet, bounded_joint_size, encode_joint_action
-from .influence import all_influence_sets, influence_game, influence_psne, map_decoder
-from .mixture import MixtureModel, check_joint_size, expected_nll, mixture_interval
+from .influence import _decode_rows, all_influence_sets, influence_game, influence_psne
+from .mixture import SAMPLE_BLOCK, MixtureModel, check_joint_size, expected_nll
+from .mixture import mixture_interval
 
 KINDS = ("recovery", "gap", "fano")
 ENUMERATE_PI_LIMIT = 10_000
@@ -239,7 +240,9 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     """MAP decoding error over the influential-players family vs the bound.
 
     The hidden player set is drawn uniformly per trial: from the full
-    enumeration when it is small, otherwise by uniform sampling.
+    enumeration when it is small, otherwise by uniform sampling.  Trials
+    are drawn in index order, in blocks of at most SAMPLE_BLOCK // m that
+    share one (trials x m) array of draws and one pass of the row decoder.
     """
     if config.kind != "fano":
         raise ConfigError(f"run_fano got a {config.kind!r} config")
@@ -255,28 +258,35 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     enumerated = population <= ENUMERATE_PI_LIMIT
     if enumerated:
         pis = all_influence_sets(config.n, config.k)
-        instances = {
-            pi: influence_game(config.n, config.k, pi, space.counts).psne_index
-            for pi in pis
-        }
+        games = (influence_game(config.n, config.k, pi, space.counts) for pi in pis)
+        models = [MixtureModel(space, game.psne, q) for game in games]
 
-    def misdecoded(mi, m, ti) -> bool:
+    def trial(mi, m, ti, out) -> tuple[int, ...]:
+        """Draw trial ti's hidden set, and its m observations into `out`."""
         pi_seed, data_seed = _trial_words(config.seed, mi, ti, 2)
         rng = np.random.default_rng(pi_seed)
         if enumerated:
-            pi = pis[int(rng.integers(len(pis)))]
-            index = instances[pi]
+            j = int(rng.integers(len(pis)))
+            pi, model = pis[j], models[j]
         else:
             chosen = rng.choice(config.n, size=config.k, replace=False) + 1
             pi = tuple(sorted(int(i) for i in chosen))
             index = encode_joint_action(space, influence_psne(pi, config.n))
-        model = MixtureModel(space, PsneSet([index]), q)
-        decoded = map_decoder(model.sample(m, data_seed), config.k, q)
-        return decoded != pi
+            model = MixtureModel(space, PsneSet([index]), q)
+        for _ in model._blocks(m, data_seed, out=out):
+            pass
+        return pi
 
     rows = []
     for mi, m in enumerate(config.m_schedule):
-        errors = [misdecoded(mi, m, ti) for ti in range(config.trials)]
+        # a block holds at most max(m, SAMPLE_BLOCK) draws
+        block = max(1, SAMPLE_BLOCK // max(m, 1))
+        errors = []
+        for lo in range(0, config.trials, block):
+            draws = np.empty((min(block, config.trials - lo), m), dtype=np.int64)
+            pis_drawn = [trial(mi, m, lo + t, out) for t, out in enumerate(draws)]
+            decoded = _decode_rows(space, draws, config.k)
+            errors += [d != pi for d, pi in zip(decoded, pis_drawn)]
         rows.append(_freq_row(m, "map_error", errors))
         bound = fano_error_lower_bound(m, config.n, config.k, size, q)
         rows.append(ResultRow(m, "fano_bound", bound, 0.0, config.trials))

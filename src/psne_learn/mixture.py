@@ -16,8 +16,9 @@ only the q interval's float endpoints need |A| within float range.
 
 One block generator (`MixtureModel._blocks`) draws a sample SAMPLE_BLOCK
 joint indices at a time.  `sample` writes its blocks straight into a
-dataset's index array; `tally` adds each block's histogram into counts
-per joint index, which is all the MLE fit reads.  A tally holds no
+dataset's index array, and `experiments.run_fano` into one row of its
+decode block; `tally` adds each block's histogram into counts per joint
+index, which is all the MLE fit reads.  A tally holds no
 m-long index array, only the m-byte signal mask of the first pass.
 """
 

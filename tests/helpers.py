@@ -90,6 +90,27 @@ def sweep_psne_set(game):
     return PsneSet(np.flatnonzero(ok))
 
 
+def unique_map_decoder(space, indices, k):
+    """MAP player set of one trial's joint indices, one trial at a time:
+    `np.unique` counts each distinct index, one pass per player over all
+    of them marks the candidates (every action 1 or 2, exactly k players
+    on action 1), and the first maximal count wins, (1, ..., k) when no
+    candidate was observed.  The row decoder in `influence` must
+    reproduce it row by row."""
+    observed, counts = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
+    valid = np.ones(observed.shape, dtype=bool)
+    ones = np.zeros(observed.shape, dtype=np.int64)
+    for p in range(1, space.n + 1):
+        digit = space.digit(observed, p)
+        valid &= digit <= 1
+        ones += digit == 0
+    score = np.where(valid & (ones == k), counts, 0)
+    if not score.any():
+        return tuple(range(1, k + 1))
+    best = int(observed[np.argmax(score)])
+    return tuple(p for p in range(1, space.n + 1) if space.digit(best, p) == 0)
+
+
 def spin_psne_set(weights):
     """PSNE of a weight-matrix spin game, checked in spin coordinates."""
     w = np.asarray(weights, dtype=float)

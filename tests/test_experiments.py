@@ -192,6 +192,52 @@ class TestFano:
         assert run_fano(config) == table
 
 
+class TestFanoPins:
+    """`run_fano` tables recorded on the per-trial decoding loop that the
+    blocked loop replaced; blocks must not move a single value."""
+
+    def rows(self, config):
+        return [(r.m, r.metric, r.value, r.stderr, r.trials) for r in run_fano(config).rows]
+
+    def test_non_binary_enumerated(self):
+        config = ExperimentConfig(
+            kind="fano", n=5, k=2, action_sizes=(3, 2, 2, 3, 2),
+            m_schedule=(0, 5, 40, 200), trials=30, seed=7,
+        )
+        assert self.rows(config) == [
+            (0, "map_error", 0.9333333333333333, 0.045542003404264876, 30),
+            (0, "fano_bound", 0.6989700043360189, 0.0, 30),
+            (5, "map_error", 0.8666666666666667, 0.06206328908341751, 30),
+            (5, "fano_bound", 0.6773368843100471, 0.0, 30),
+            (40, "map_error", 0.5666666666666667, 0.09047201327032126, 30),
+            (40, "fano_bound", 0.5259050441282443, 0.0, 30),
+            (200, "map_error", 0.5333333333333333, 0.09108400680852977, 30),
+            (200, "fano_bound", 0.0, 0.0, 30),
+        ]
+
+    def test_sampled_branch_past_one_block(self):
+        # C(16, 8) = 12,870 sets: pi is sampled.  m = 3000 decodes blocks of
+        # two trials, m = 9000 > SAMPLE_BLOCK blocks of one.
+        assert SAMPLE_BLOCK // 3000 == 2 and 9000 > SAMPLE_BLOCK
+        config = ExperimentConfig(
+            kind="fano", n=16, k=8, m_schedule=(0, 10, 60, 3000, 9000),
+            trials=8, seed=11, fano_q=0.02,
+        )
+        assert run_fano(config).meta["derived"]["enumerated"] is False
+        assert self.rows(config) == [
+            (0, "map_error", 1.0, 0.0, 8),
+            (0, "fano_bound", 0.926749180669454, 0.0, 8),
+            (10, "map_error", 0.875, 0.11692679333668567, 8),
+            (10, "fano_bound", 0.7747170588650464, 0.0, 8),
+            (60, "map_error", 0.75, 0.15309310892394862, 8),
+            (60, "fano_bound", 0.014556449843008301, 0.0, 8),
+            (3000, "map_error", 0.0, 0.0, 8),
+            (3000, "fano_bound", 0.0, 0.0, 8),
+            (9000, "map_error", 0.0, 0.0, 8),
+            (9000, "fano_bound", 0.0, 0.0, 8),
+        ]
+
+
 class TestFitTrials:
     """The trial loop fits each draw from its tally; the old formula fits
     the materialized sample, and the two must agree trial by trial."""

@@ -18,6 +18,9 @@ from psne_learn import (
     map_decoder,
     mixture_interval,
 )
+from psne_learn.influence import _decode_rows
+
+from helpers import unique_map_decoder
 
 
 class TestInfluencePsne:
@@ -117,6 +120,23 @@ def test_non_integer_n_or_k_is_input_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("n, k", [(3, -1), (-2, 0), (3, 0), (3, 3)])
+def test_k_outside_one_to_n_minus_one_is_input_error(n, k):
+    with pytest.raises(InputError, match=rf"^k={k} must lie in 1\.\.{n - 1}$"):
+        all_influence_sets(n, k)
+
+
+def test_one_k_rule_for_games_decoder_and_sets():
+    data = Dataset(ActionSpace((2, 2, 2)), [0])
+    for call in (
+        lambda: influence_game(3, 3, [1, 2, 3]),
+        lambda: map_decoder(data, 3, 0.5),
+        lambda: all_influence_sets(3, 3),
+    ):
+        with pytest.raises(InputError, match=r"^k=3 must lie in 1\.\.2$"):
+            call()
+
+
 def brute_map_decoder(data, k, q):
     """Full likelihood scan over every candidate player set."""
     space = data.space
@@ -208,6 +228,95 @@ class TestMapDecoder:
         with pytest.raises(InputError):
             map_decoder(data, 1, 0.25)  # at the uniform weight: no signal
         assert map_decoder(data, 1, 1 - 1 / 8) == (1,)  # closed upper end
+
+
+class TestDecodeRows:
+    """The row decoder behind `map_decoder` and `run_fano`, row by row
+    against the one-trial `np.unique` oracle and the likelihood scan."""
+
+    SPACES = ((2,) * 4, (2,) * 6, (2, 3, 2, 2, 3))
+
+    @staticmethod
+    def row(rng, space, k, kind, m):
+        """m joint indices: a seeded draw, a tie at a nonzero count, or no
+        candidate at all (only the all-2 and all-1 profiles, which put 0
+        and n players on action 1)."""
+        n, size = space.n, space.joint_size
+        candidates = all_influence_sets(n, k)
+        if kind == "draw":
+            pi = candidates[int(rng.integers(len(candidates)))]
+            idx = encode_joint_action(space, influence_psne(pi, n))
+            return MixtureModel(space, PsneSet([idx]), 2.0 / size).sample(
+                m, int(rng.integers(2**32))
+            ).indices
+        if kind == "tie":
+            pair = rng.choice(len(candidates), size=2, replace=False)
+            a, b = (
+                encode_joint_action(space, influence_psne(candidates[int(j)], n))
+                for j in pair
+            )
+            c = m // 3
+            filler = rng.integers(0, size, size=m - 2 * c)
+            return rng.permutation(np.concatenate([[a, b] * c, filler]).astype(np.int64))
+        blank = [encode_joint_action(space, (2,) * n), encode_joint_action(space, (1,) * n)]
+        return rng.choice(np.asarray(blank, dtype=np.int64), size=m)
+
+    def check_block(self, space, block, k):
+        q = 2.0 / space.joint_size
+        decoded = _decode_rows(space, block, k)
+        assert len(decoded) == block.shape[0]
+        for row, got in zip(block, decoded):
+            assert got == unique_map_decoder(space, row, k)
+            assert got == brute_map_decoder(Dataset(space, row), k, q)
+
+    def test_seeded_blocks_match_oracles(self):
+        rng = np.random.default_rng(43)
+        kinds = ("draw", "tie", "none")
+        seen = set()
+        for sizes in self.SPACES:
+            space = ActionSpace(sizes)
+            for k in sorted({1, 2, space.n - 1}):
+                for trials in range(1, 6):
+                    for m in (0, 1, 2, 3, 7, 12, 23, 40):
+                        picks = [kinds[int(j)] for j in rng.integers(0, 3, size=trials)]
+                        block = np.stack(
+                            [self.row(rng, space, k, kind, m) for kind in picks]
+                        ).reshape(trials, m)
+                        self.check_block(space, block, k)
+                        seen.update(picks)
+        assert seen == set(kinds)
+
+    def test_long_row(self):
+        rng = np.random.default_rng(44)
+        for sizes in self.SPACES:
+            space = ActionSpace(sizes)
+            for k in (1, space.n - 1):
+                for kind in ("draw", "tie"):
+                    block = self.row(rng, space, k, kind, 4000).reshape(1, -1)
+                    self.check_block(space, block, k)
+
+    def test_tie_at_nonzero_count_goes_to_smaller_candidate(self):
+        space = ActionSpace((2, 3, 2, 2, 3))
+        a = encode_joint_action(space, influence_psne((2, 4), 5))
+        b = encode_joint_action(space, influence_psne((1, 3), 5))
+        stray = encode_joint_action(space, (2, 3, 2, 2, 3))  # scores for nobody
+        block = np.array([[a, b, a, b, stray], [stray] * 3 + [a] * 2], dtype=np.int64)
+        assert _decode_rows(space, block, 2) == [(1, 3), (2, 4)]
+
+    def test_runs_never_straddle_rows(self):
+        space = ActionSpace((2,) * 4)
+        low = encode_joint_action(space, influence_psne((1, 2), 4))
+        high = encode_joint_action(space, influence_psne((3, 4), 4))
+        assert low < high  # row 0 sorted ends on the value row 1 holds throughout
+        block = np.array([[high, low], [high, high]], dtype=np.int64)
+        assert _decode_rows(space, block, 2) == [(1, 2), (3, 4)]
+
+    def test_rows_without_candidate_decode_to_first_set(self):
+        space = ActionSpace((2,) * 4)
+        blank = encode_joint_action(space, (2, 2, 2, 2))
+        block = np.array([[blank] * 3, [0, blank, 0]], dtype=np.int64)
+        assert _decode_rows(space, block, 2) == [(1, 2), (1, 2)]
+        assert _decode_rows(space, block[:, :0], 3) == [(1, 2, 3)] * 2
 
 
 class TestAllInfluenceSets:
