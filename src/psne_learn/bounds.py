@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError
+from .games import _integer
 from .mixture import MixtureModel, check_joint_size, expected_log_pmf, mixture_interval
 
 
@@ -42,7 +43,7 @@ def superset_recovery_margin(psne_size: int, q: float, joint_size: int) -> float
     The joint-space size is an explicit argument because it enters both
     the scale factor and the off-equilibrium masses.
     """
-    r = int(psne_size)
+    r, joint_size = _integer(psne_size, "PSNE size"), _integer(joint_size, "joint size")
     if r < 2:
         raise InputError("superset margin needs at least 2 equilibria")
     q = mixture_interval(r, joint_size).admit(q)
@@ -57,7 +58,7 @@ def superset_recovery_margin(psne_size: int, q: float, joint_size: int) -> float
 
 
 def _check_fano_space(joint_size: int) -> None:
-    check_joint_size(joint_size)
+    check_joint_size(_integer(joint_size, "joint size"))
     if joint_size < 3:
         raise InputError("need a joint space of at least 3 actions")
 
@@ -86,7 +87,7 @@ def sufficient_samples(eps: float, delta: float, d_h: int) -> int:
     """
     if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
         raise InputError("eps and delta must lie in (0, 1)")
-    if d_h < 1:
+    if _integer(d_h, "hypothesis count") < 1:
         raise InputError("the hypothesis count must be at least 1")
     return math.ceil(
         (2.0 / (eps * eps))
@@ -98,6 +99,7 @@ def log_binomial(n: int, k: int) -> float:
     """ln C(n, k) within 1e-9 relative: by log-gamma while its terms sum to at
     most 1e6 times the result (each rounds within about 1e-15 of itself),
     else exactly when min(k, n - k) <= 64, else an InputError."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 0 <= k <= n:
         raise InputError(f"k={k} outside 0..{n}")
     if n < 2**1000:
@@ -125,6 +127,7 @@ def fano_error_lower_bound(
     family only; it does not show the abstract's Omega(k n log^2 n) rate,
     which would need ln C(n, k) of that order at bounded KL.
     """
+    m, n, k = _integer(m, "sample count"), _integer(n, "n"), _integer(k, "k")
     if m < 0:
         raise InputError("sample count must be nonnegative")
     _check_fano_space(joint_size)

@@ -78,7 +78,7 @@ def _cmd_sample(args) -> int:
         raise InputError(
             f"--psne {args.psne} outside 0..{len(family) - 1} for this family"
         )
-    model = MixtureModel(family.space, family.candidates[args.psne], args.q)
+    model = MixtureModel(family.space, family[args.psne], args.q)
     write_dataset(args.out, model.sample(args.m, args.seed))
     print(f"wrote {args.m} samples to {args.out}", file=sys.stderr)
     return 0

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, check_capacity
-from .games import ActionSpace, PsneSet, _best_response_grid, bounded_joint_size
-from .games import _int64_array
+from .games import JOINT_CEILING, ActionSpace, PsneSet, _best_response_grid
+from .games import _int64_array, bounded_joint_size
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
@@ -36,56 +36,84 @@ REGION_CHUNK_ELEMENTS = 1 << 16
 # the infimum at the open lower endpoint of the q interval is not attained;
 # clamp this far above it so the estimator stays total
 LOWER_CLAMP_OFFSET = 1e-9
+# every byte with its bits reversed, for the canonical order of bitmasks
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-class CandidateFamily:
-    """Deduplicated PSNE sets over one action space, in canonical order."""
+class CandidateFamily(Sequence):
+    """Deduplicated PSNE sets over one action space, in canonical order
+    (size, then index tuple), stored in one form: read-only int64 `indices`
+    holding every set's ascending joint indices end to end, and `offsets`,
+    set i being indices[offsets[i]:offsets[i + 1]].  `family[i]` builds one
+    `PsneSet`; `candidates` and iteration build them all, on every call."""
 
-    __slots__ = ("space", "candidates", "provenance", "_members", "_sizes")
+    __slots__ = ("space", "provenance", "indices", "offsets")
 
-    def __init__(
-        self,
-        space: ActionSpace,
-        candidates: Sequence[PsneSet],
-        provenance: str,
-    ):
+    def __init__(self, space: ActionSpace, psne_sets: Iterable[PsneSet], provenance):
+        space._check_int64()
+        distinct = set()
+        for psne in psne_sets:
+            check_psne_set(psne, space.joint_size)
+            distinct.add(psne.indices)
+        sets = sorted(distinct, key=lambda t: (len(t), t))
+        lengths = np.fromiter(map(len, sets), np.int64, len(sets))
+        flat = np.fromiter(itertools.chain.from_iterable(sets), np.int64, lengths.sum())
+        self._store(space, provenance, flat, lengths)
+
+    @classmethod
+    def _from_masks(cls, space: ActionSpace, masks: list[int], provenance: str):
+        """The family of distinct int bitmasks (bit x is joint index x), none
+        empty or full, unpacked REGION_CHUNK_ELEMENTS // |A| at a time.  The
+        canonical order sorts by popcount, then by the complement's bytes,
+        each byte's bits reversed: the lowest differing index comes first."""
         size = space.joint_size
-        seen = {}
-        for cand in candidates:
-            check_psne_set(cand, size)
-            seen[cand.indices] = cand
-        ordered = sorted(seen.values(), key=lambda c: (len(c), c.indices))
-        self.space = space
-        self.candidates = tuple(ordered)
-        self.provenance = provenance
-        self._members = None
-        self._sizes = None
+        nbytes, chunk = (size + 7) // 8, max(1, REGION_CHUNK_ELEMENTS // size)
+        full = (1 << size) - 1
+
+        def key(m):
+            flipped = (full ^ m).to_bytes(nbytes, "little")
+            return m.bit_count(), flipped.translate(_BIT_REVERSED)
+
+        masks = sorted(masks, key=key)
+        lengths = np.fromiter((m.bit_count() for m in masks), np.int64, len(masks))
+        flat, end = np.empty(lengths.sum(), np.int64), 0
+        for start in range(0, len(masks), chunk):
+            raw = [m.to_bytes(nbytes, "little") for m in masks[start : start + chunk]]
+            rows = np.frombuffer(b"".join(raw), np.uint8).reshape(-1, nbytes)
+            bits = np.unpackbits(rows, axis=1, count=size, bitorder="little")
+            cols = np.nonzero(bits)[1]
+            flat[end : end + len(cols)] = cols
+            end += len(cols)
+        family = object.__new__(cls)
+        family._store(space, provenance, flat, lengths)
+        return family
+
+    def _store(self, space, provenance, flat, lengths) -> None:
+        """Hold distinct sets in canonical order, given end to end in `flat`."""
+        self.space, self.provenance = space, provenance
+        self.indices, self.offsets = flat, np.concatenate(([0], np.cumsum(lengths)))
+        self.indices.flags.writeable = self.offsets.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.offsets) - 1
 
-    def __iter__(self):
-        return iter(self.candidates)
+    def __getitem__(self, i: int) -> PsneSet:
+        i = range(len(self))[i]
+        return PsneSet(self.indices[self.offsets[i] : self.offsets[i + 1]].tolist())
+
+    @property
+    def candidates(self) -> tuple[PsneSet, ...]:
+        return tuple(self)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.offsets[1:] - self.offsets[:-1]
 
     def __contains__(self, psne: PsneSet) -> bool:
-        return any(c == psne for c in self.candidates)
-
-    def member_matrix(self) -> np.ndarray:
-        """Boolean membership matrix, one row per candidate."""
-        if self._members is None:
-            mat = np.zeros((len(self.candidates), self.space.joint_size), dtype=bool)
-            for row, cand in enumerate(self.candidates):
-                mat[row, list(cand.indices)] = True
-            mat.flags.writeable = False
-            self._members = mat
-        return self._members
-
-    def sizes(self) -> np.ndarray:
-        if self._sizes is None:
-            arr = np.asarray([len(c) for c in self.candidates], dtype=np.int64)
-            arr.flags.writeable = False
-            self._sizes = arr
-        return self._sizes
+        r = len(psne)
+        lo, hi = np.searchsorted(self.sizes, (r, r + 1))
+        rows = self.indices[self.offsets[lo] : self.offsets[hi]].reshape(-1, max(r, 1))
+        return list(psne.indices) in rows.tolist()
 
 
 @dataclass(frozen=True)
@@ -154,10 +182,9 @@ def count_grid_games(n: int, k: int, action_sizes, grid=DEFAULT_GRID) -> int:
     """
     sizes = _check_class_params(n, k, action_sizes)
     grid = _normalize_grid(grid)
-    total = 1
-    for i in range(1, n + 1):
-        total *= _player_structure_count(n, k, sizes, grid, i)
-    return total
+    return math.prod(
+        _player_structure_count(n, k, sizes, grid, i) for i in range(1, n + 1)
+    )
 
 
 def _grid_tables(grid, rows: int, cols: int) -> np.ndarray:
@@ -242,14 +269,13 @@ def enumerate_psne_sets(
     stream `count_grid_games` counts) through `enumerate_psne` would,
     without sweeping a single game.
 
-    Regions come from one batched best-response pass per parent set over
-    stacked unary and pairwise tables, walked in chunks bounded by
-    REGION_CHUNK_ELEMENTS (see `_player_regions`).  Each region and each
-    partial PSNE set is an int bitmask over the joint space (bit x is joint
-    index x), so a set intersection is one `&` at any width, and a Python
-    set dedupes the partial sets of each player round.  Sizes resolve
-    through `family_sizes` (empty means 2 per player); CapacityError is
-    raised past its ceiling, GAME_CEILING or a round's PARTIAL_SET_CEILING.
+    Each region (see `_player_regions`) and each partial PSNE set is an
+    int bitmask over the joint space, so a set intersection is one `&` at
+    any width and a Python set dedupes each player round; the distinct
+    masks then go to the family unpacked in bounded chunks, with no
+    `PsneSet` per candidate.  Sizes resolve through `family_sizes` (empty
+    means 2 per player); CapacityError is raised past its ceiling,
+    GAME_CEILING or a round's PARTIAL_SET_CEILING.
     """
     sizes = _check_class_params(n, k, family_sizes(n, action_sizes))
     grid = _normalize_grid(grid)
@@ -262,8 +288,7 @@ def enumerate_psne_sets(
         _player_structure_count(n, k, sizes, grid, i) for i in range(1, n + 1)
     )
     check_capacity("region build", structures, GAME_CEILING, "grid assignments")
-    size = space.joint_size
-    full = (1 << size) - 1
+    full = (1 << space.joint_size) - 1
     partial = {full}
     for i in range(1, n + 1):
         regions = _player_regions(n, k, sizes, grid, i, space)
@@ -273,14 +298,7 @@ def enumerate_psne_sets(
             merged.update([row & r for r in regions])
             check_capacity(stage, len(merged), PARTIAL_SET_CEILING, "partial PSNE sets")
         partial = merged
-    nbytes = (size + 7) // 8
-    candidates = []
-    for row in partial:
-        if row not in (0, full):
-            bits = np.frombuffer(row.to_bytes(nbytes, "little"), np.uint8)
-            members = np.unpackbits(bits, count=size, bitorder="little")
-            candidates.append(PsneSet(np.flatnonzero(members)))
-    return CandidateFamily(space, candidates, label)
+    return CandidateFamily._from_masks(space, list(partial - {0, full}), label)
 
 
 def _clamp_q(q_unconstrained, sizes, joint_size):
@@ -296,69 +314,48 @@ def optimal_q(psne: PsneSet, data: Dataset) -> tuple[float, bool]:
     unconstrained minimizer s/m)."""
     if data.m == 0:
         raise InputError("cannot fit q on an empty dataset")
+    check_psne_set(psne, data.space.joint_size)
     s = data.count_in(psne)
     q, clamped = _clamp_q(s / data.m, float(len(psne)), float(data.space.joint_size))
     return float(q), bool(clamped)
 
 
-def _select(family: CandidateFamily, objective, q, clamped) -> FitResult:
-    """First minimum: the family's (size, indices) order breaks ties."""
-    winner = int(np.argmin(objective))
-    return FitResult(
-        psne=family.candidates[winner],
-        q_hat=float(q[winner]),
-        objective=float(objective[winner]),
-        clamped=bool(clamped[winner]),
-    )
-
-
-def _check_family(family: CandidateFamily) -> None:
+def _check_fit(family: CandidateFamily, space=None, source: str = "") -> None:
     if len(family) == 0:
         raise InputError("cannot fit over an empty candidate family")
-
-
-def _check_fit(family: CandidateFamily, space: ActionSpace, source: str) -> None:
-    _check_family(family)
-    if space.counts != family.space.counts:
+    if space is not None and space.counts != family.space.counts:
         raise InputError(f"{source} and family action spaces differ")
 
 
-def _in_set(family: CandidateFamily, per_index: np.ndarray) -> np.ndarray:
-    """Per-candidate sum of an integer vector over each set's indices."""
-    # integer matmul keeps the sum exact and independent of any threaded
-    # summation order
-    return (family.member_matrix().astype(np.int64) @ per_index).astype(float)
+def _in_set(family: CandidateFamily, values: np.ndarray) -> np.ndarray:
+    """Per-candidate sum of an integer or bool array aligned with
+    `family.indices`, exact in int64."""
+    return np.add.reduceat(values, family.offsets[:-1], dtype=np.int64).astype(float)
 
 
 def _scan(family: CandidateFamily, inside, outside, total) -> FitResult:
     """Argmin of the average scaled NLL, with each candidate's q in closed
     form, given the weight falling inside and outside each set."""
     size = family.space.joint_size
-    sizes = family.sizes().astype(float)
+    sizes = family.sizes.astype(float)
     q, clamped = _clamp_q(inside / total, sizes, float(size))
     scale = nll_scale(family.space)
     nll_in = (np.log(sizes) - np.log(q)) / scale
     nll_out = (np.log(size - sizes) - np.log1p(-q)) / scale
     objective = (inside * nll_in + outside * nll_out) / total
-    return _select(family, objective, q, clamped)
-
-
-def _fit_histogram(family: CandidateFamily, hist: np.ndarray, m: int) -> FitResult:
-    """The fit from m observations whose int64 histogram of joint indices
-    is `hist`.  The data enter only through per-candidate in-set counts,
-    so the scan is a single matrix product."""
-    if m == 0:
-        raise InputError("cannot fit on an empty dataset")
-    inside = _in_set(family, hist)
-    return _scan(family, inside, m - inside, float(m))
+    best = int(np.argmin(objective))  # the first minimum: family order breaks ties
+    return FitResult(
+        family[best], float(q[best]), float(objective[best]), bool(clamped[best])
+    )
 
 
 def fit_counts(family: CandidateFamily, counts) -> FitResult:
     """Empirical MLE over the family from a histogram of joint indices:
     counts[x] observations of joint index x, m = counts.sum() in all.
     The counts carry only their length, so that is all that is checked
-    against the family's space."""
-    _check_family(family)
+    against the family's space.  The data enter only through per-candidate
+    in-set counts: one gather of the counts at the family's indices."""
+    _check_fit(family)
     size = family.space.joint_size
     hist = _int64_array(counts, "observation count")
     if hist.shape != (size,):
@@ -373,15 +370,19 @@ def fit_counts(family: CandidateFamily, counts) -> FitResult:
     m = hist.sum(dtype=object)
     if m >= 2**63:
         raise InputError(f"observation counts total {m}, past int64")
-    return _fit_histogram(family, hist, m)
+    if m == 0:
+        raise InputError("cannot fit on an empty dataset")
+    inside = _in_set(family, hist[family.indices])
+    return _scan(family, inside, m - inside, float(m))
 
 
 def fit_mle(family: CandidateFamily, data: Dataset) -> FitResult:
     """Empirical MLE over the family: the `fit_counts` fit on the dataset's
-    histogram of joint indices."""
+    histogram of joint indices, whose length JOINT_CEILING bounds."""
     _check_fit(family, data.space, "dataset")
-    hist = np.bincount(data.indices, minlength=family.space.joint_size)
-    return _fit_histogram(family, hist, data.m)
+    size = family.space.joint_size
+    check_capacity("fit histogram", size, JOINT_CEILING, "joint actions")
+    return fit_counts(family, np.bincount(data.indices, minlength=size))
 
 
 def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:
@@ -393,8 +394,6 @@ def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:
     minimizer.
     """
     _check_fit(family, truth.space, "truth model")
-    truth_indicator = np.zeros(family.space.joint_size, dtype=np.int64)
-    truth_indicator[list(truth.psne.indices)] = 1
-    overlap = _in_set(family, truth_indicator)
-    mass = truth.mass(overlap, family.sizes().astype(float))
+    overlap = _in_set(family, np.isin(family.indices, truth.psne.as_array()))
+    mass = truth.mass(overlap, family.sizes.astype(float))
     return _scan(family, mass, 1.0 - mass, 1.0)

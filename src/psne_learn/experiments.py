@@ -25,7 +25,7 @@ from .estimator import _normalize_grid, _class_param_problems
 from .games import ActionSpace, PsneSet, bounded_joint_size, encode_joint_action
 from .influence import _decode_rows, all_influence_sets, influence_game, influence_psne
 from .mixture import SAMPLE_BLOCK, MixtureModel, check_joint_size, expected_nll
-from .mixture import mixture_interval
+from .mixture import MixtureInterval, mixture_interval
 
 KINDS = ("recovery", "gap", "fano")
 ENUMERATE_PI_LIMIT = 10_000
@@ -134,20 +134,19 @@ def _choose_truth(config: ExperimentConfig, family: CandidateFamily) -> MixtureM
                 "recovery against it is ill-posed"
             )
     else:
-        eligible = [
-            c
-            for c in family
-            if len(c) >= 2
-            and config.q_star in mixture_interval(len(c), space.joint_size)
-        ]
-        if not eligible:
+        interval = MixtureInterval.of(family.sizes, space.joint_size)
+        q = config.q_star
+        eligible = np.flatnonzero(
+            (family.sizes >= 2) & (interval.lower < q) & (q <= interval.upper)
+        )
+        if not eligible.size:
             raise ConfigError(
                 f"no candidate with >= 2 equilibria admits q_star={config.q_star}"
             )
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(0,))
         )
-        truth = eligible[int(rng.integers(len(eligible)))]
+        truth = family[int(eligible[int(rng.integers(len(eligible)))])]
     interval = mixture_interval(len(truth), space.joint_size)
     return MixtureModel(space, truth, interval.admit(config.q_star, ConfigError))
 

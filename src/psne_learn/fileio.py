@@ -177,10 +177,11 @@ def read_dataset(path: str, space: ActionSpace | None = None) -> Dataset:
 # -- candidate families and fits ----------------------------------------
 
 def write_family(path: str, family: CandidateFamily) -> None:
+    ends = family.offsets
     payload = {
         "actions": list(family.space.counts),
         "provenance": family.provenance,
-        "candidates": [list(c.indices) for c in family.candidates],
+        "candidates": [family.indices[a:b].tolist() for a, b in zip(ends, ends[1:])],
     }
     _atomic_write(path, _dump_json(payload))
 

@@ -32,6 +32,7 @@ from psne_learn.estimator import (
     GAME_CEILING,
     _check_class_params,
     _normalize_grid,
+    _scan,
 )
 from psne_learn.games import _best_response_grid
 
@@ -325,6 +326,39 @@ def all_subsets_family(action_sizes, max_size):
         for combo in itertools.combinations(range(space.joint_size), s)
     ]
     return CandidateFamily(space, candidates, f"all-subsets(max_size={max_size})")
+
+
+def member_matrix(family):
+    """The family as an N x |A| bool matrix, one row per candidate, filled
+    set by set from its `PsneSet`s."""
+    mat = np.zeros((len(family), family.space.joint_size), dtype=bool)
+    for row, cand in enumerate(family):
+        mat[row, list(cand.indices)] = True
+    return mat
+
+
+def matmul_in_set(members, per_index):
+    """Per-candidate sums of an int vector over the joint space, by one
+    int64 product with a `member_matrix`: what the fit's gather and
+    per-set sum must equal."""
+    return (members.astype(np.int64) @ per_index).astype(float)
+
+
+def matmul_fit_counts(family, members, hist):
+    """`fit_counts` with its in-set counts taken by `matmul_in_set`; the
+    scan itself is the library's."""
+    m = int(hist.sum())
+    inside = matmul_in_set(members, hist)
+    return _scan(family, inside, m - inside, float(m))
+
+
+def matmul_population_mle(family, members, truth):
+    """`population_mle` with its overlaps taken by `matmul_in_set`."""
+    indicator = np.zeros(family.space.joint_size, dtype=np.int64)
+    indicator[list(truth.psne.indices)] = 1
+    overlap = matmul_in_set(members, indicator)
+    mass = truth.mass(overlap, members.sum(axis=1).astype(float))
+    return _scan(family, mass, 1.0 - mass, 1.0)
 
 
 def random_model(rng, max_joint=256, max_psne=None):

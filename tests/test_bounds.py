@@ -268,3 +268,36 @@ class TestLogBinomial:
         # past the range where log-gamma keeps 1e-9, rather than a wrong value
         with pytest.raises(InputError, match="past log-gamma's accuracy"):
             log_binomial(10**8, 100)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: superset_recovery_margin(2.5, 0.7, 8),
+        lambda: superset_recovery_margin(2, 0.7, 8.0),
+        lambda: fano_pair_kl(0.5, 16.0),
+        lambda: sufficient_samples(0.1, 0.1, 2.5),
+        lambda: fano_error_lower_bound(10, 4.5, 2, 16),
+        lambda: fano_error_lower_bound(10.0, 4, 2, 16),
+        lambda: fano_error_lower_bound(10, 4, True, 16),
+        lambda: fano_error_lower_bound(10, 4, 2, 16.5),
+        lambda: log_binomial(4.5, 2),
+        lambda: log_binomial(10**400, 2.0),
+    ],
+    ids=[
+        "margin-r",
+        "margin-joint",
+        "pair-kl-joint",
+        "sufficient-d_h",
+        "fano-n",
+        "fano-m",
+        "fano-k-bool",
+        "fano-joint",
+        "log-binomial-n",
+        "log-binomial-k-past-float",
+    ],
+)
+def test_counts_must_be_integers(call):
+    # once truncated to an int, or computed on the float, or an OverflowError
+    with pytest.raises(InputError, match="must be an integer"):
+        call()

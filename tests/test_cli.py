@@ -371,18 +371,29 @@ class TestOneTable:
 BIG_N = "99999999999999999999999"
 HUGE_FAMILY = {"actions": [2, 99999999999999999999], "candidates": [[0]]}
 WIDE_FAMILY = {"actions": [2] * 2000, "candidates": [[0]]}
+# a joint space within int64 but past the fit histogram's ceiling
+FORTY_FAMILY = {"actions": [2] * 40, "candidates": [[0]]}
 # family files whose values are not all integers
 FAMILY_FILES = {
     "family": HUGE_FAMILY,
     "wide": WIDE_FAMILY,
+    "forty": FORTY_FAMILY,
     "half": {"actions": [2, 2], "candidates": [[0.5]]},
     "true": {"actions": [2, 2], "candidates": [[True]]},
     "text": {"actions": "22", "candidates": [[0]]},
 }
 
+# one-row datasets over 2 and over 40 players
+DATA_FILES = {
+    "data": "player_1,player_2\n1,1\n",
+    "data40": "\n".join(
+        [",".join(f"player_{p}" for p in range(1, 41)), ",".join(["1"] * 40), ""]
+    ),
+}
+
 # malformed inputs, each cheap in time and memory: argv, exit code and a
-# piece of the stderr message; {out}, {data} and each FAMILY_FILES key
-# name temp files, in argv and in the message
+# piece of the stderr message; {out}, each DATA_FILES and each
+# FAMILY_FILES key name temp files, in argv and in the message
 MALFORMED = {
     "enumerate-n20000": (
         ["enumerate", "--n", "20000", "--k", "1", "--out", "{out}"],
@@ -437,6 +448,11 @@ MALFORMED = {
         4,
         "int64 indexing reached",
     ),
+    "fit-past-histogram-ceiling": (
+        ["fit", "--family", "{forty}", "--data", "{data40}", "--out", "{out}"],
+        4,
+        "fit histogram reached 1099511627776 joint actions, ceiling is 16777216",
+    ),
     "sample-family-past-float-range": (
         ["sample", "--family", "{wide}", "--psne", "0", "--q", "0.5", "--m", "1",
          "--out", "{out}"],
@@ -467,6 +483,11 @@ MALFORMED = {
         ["experiment", "--kind", "recovery", "--truth-psne=-1,0", "--out", "{out}"],
         3,
         "joint-action indices must be nonnegative",
+    ),
+    "experiment-truth-psne-past-int64": (
+        ["experiment", "--kind", "recovery", f"--truth-psne={BIG_N}", "--out", "{out}"],
+        3,
+        "declared truth PSNE set is not in the candidate family",
     ),
     "fano-bound-past-log-gamma-range": (
         ["theory", "--fano-bound", "--m", "5", "--n", "100000000000000000",
@@ -503,11 +524,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_documented_exit_without_traceback(self, tmp_path, capsys, case):
         argv, expected, message = MALFORMED[case]
-        paths = {"out": str(tmp_path / "out"), "data": str(tmp_path / "data.csv")}
+        paths = {"out": str(tmp_path / "out")}
         for name, payload in FAMILY_FILES.items():
             paths[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(payload))
-        (tmp_path / "data.csv").write_text("player_1,player_2\n1,1\n")
+        for name, text in DATA_FILES.items():
+            paths[name] = str(tmp_path / f"{name}.csv")
+            (tmp_path / f"{name}.csv").write_text(text)
         code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code in {2, 3, 4, 5}
         assert code == expected

@@ -25,17 +25,87 @@ from psne_learn import (
     population_mle,
 )
 from psne_learn import estimator
+from psne_learn.estimator import fit_counts
 from helpers import (
     all_subsets_family,
     direct_player_regions,
     enumerate_grid_games,
     explicit_family,
     games_psne_sets,
+    matmul_fit_counts,
+    matmul_in_set,
+    matmul_population_mle,
+    member_matrix,
     packed_psne_sets,
 )
 
 GRID3 = (-1.0, 0.0, 1.0)
 SPACE4 = ActionSpace((2, 2))
+# widths past one 64-bit word and not a multiple of 8
+WIDE_CASES = [
+    (4, 0, (3, 3, 3, 3)),  # |A| = 81
+    (7, 0, (2,) * 7),  # |A| = 128
+    (3, 0, (4, 4, 5)),  # |A| = 80
+    (3, 1, (3, 2, 2)),  # |A| = 12
+]
+# every (n, k, sizes, grid) family the suite, the demos and the small
+# benchmark specs build, the empty (0.0,)-grid family aside
+BUILT_FAMILIES = [
+    (2, 0, (2, 2), GRID3),
+    (2, 1, (2, 2), GRID3),
+    (2, 1, (2, 2), (0.0, 1.0)),
+    (2, 1, (2, 3), (0.0, 1.0)),
+    (3, 0, (2, 2, 2), GRID3),
+    (3, 1, (2, 2, 2), (0.0, 1.0)),
+    (3, 1, (2, 2, 2), GRID3),
+    (3, 2, (2, 2, 2), (0.0, 1.0)),
+    (3, 2, (2, 2, 2), GRID3),
+    (3, 2, (3, 2, 2), GRID3),
+    *((n, k, sizes, GRID3) for n, k, sizes in WIDE_CASES),
+    (4, 3, (2, 2, 2, 2), GRID3),
+]
+# (12-action space) repeated sets, in either index order, and shuffled
+SHUFFLED_SETS = [
+    [5, 1], [1, 5], [0], [11], [2, 3, 4], [0], [4, 3, 2], [7, 8], [1, 2],
+    [0, 11], [6], [10, 0, 11], [3, 9],
+]
+
+
+@functools.cache
+def built_family(n, k, sizes, grid):
+    return enumerate_psne_sets(n, k, sizes, grid)
+
+
+def shuffled_family():
+    sets = list(SHUFFLED_SETS)
+    np.random.default_rng(18).shuffle(sets)
+    return explicit_family((3, 4), sets)
+
+
+def _criterion_5_family(seed):
+    """A random explicit family shaped like acceptance criterion 5's."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(2, 5, size=3))
+    size = math.prod(sizes)
+    sets = [
+        rng.choice(size, size=int(rng.integers(1, size)), replace=False).tolist()
+        for _ in range(120)
+    ]
+    return explicit_family(sizes, sets)
+
+
+# every family the suite declares explicitly, plus two like criterion 5's
+EXPLICIT_FAMILIES = {
+    "dedupe": lambda: explicit_family((2, 2), [[3, 0], [0, 3], [1]]),
+    "order": lambda: explicit_family(
+        (2, 2), [[0], [1], [2], [3], [0, 3], [1, 2], [0, 1, 2]]
+    ),
+    "subsets-1": lambda: all_subsets_family((2, 2), 1),
+    "subsets-2": lambda: all_subsets_family((2, 2), 2),
+    "shuffled": shuffled_family,
+    "criterion-5-a": lambda: _criterion_5_family(50),
+    "criterion-5-b": lambda: _criterion_5_family(51),
+}
 
 
 class TestGridGameStream:
@@ -101,18 +171,9 @@ class TestFamilyEnumeration:
             by_games = games_psne_sets(n, k, sizes, grid)
             assert [c.indices for c in by_regions] == [c.indices for c in by_games]
 
-    @pytest.mark.parametrize(
-        "n, k, sizes",
-        [
-            (4, 0, (3, 3, 3, 3)),  # |A| = 81
-            (7, 0, (2,) * 7),  # |A| = 128
-            (3, 0, (4, 4, 5)),  # |A| = 80
-            (3, 1, (3, 2, 2)),  # |A| = 12
-        ],
-    )
+    @pytest.mark.parametrize("n, k, sizes", WIDE_CASES)
     def test_matches_packed_row_oracle(self, n, k, sizes):
-        # widths past one 64-bit word and not a multiple of 8
-        by_masks = enumerate_psne_sets(n, k, sizes, GRID3)
+        by_masks = built_family(n, k, sizes, GRID3)
         by_rows = packed_psne_sets(n, k, sizes, GRID3)
         assert len(by_masks) > 0
         assert [c.indices for c in by_masks] == [c.indices for c in by_rows]
@@ -139,11 +200,23 @@ class TestFamilyEnumeration:
         assert small <= large
 
     def test_candidates_valid_and_sorted(self):
-        family = enumerate_psne_sets(3, 1, (2, 2, 2), (0.0, 1.0))
-        keys = [(len(c), c.indices) for c in family]
-        assert keys == sorted(keys)
-        assert all(1 <= len(c) <= 7 for c in family)
-        assert len(keys) == len(set(keys))
+        # the canonical order read back set by set, not through any oracle
+        # that shares the family constructor
+        families = [
+            built_family(3, 1, (2, 2, 2), (0.0, 1.0)),
+            *(built_family(n, k, sizes, GRID3) for n, k, sizes in WIDE_CASES),
+            built_family(4, 3, (2, 2, 2, 2), GRID3),
+            shuffled_family(),
+        ]
+        for family in families:
+            keys = [(len(c), c.indices) for c in family]
+            assert keys == sorted(keys)
+            assert len(keys) == len(set(keys))
+            assert all(1 <= len(c) < family.space.joint_size for c in family)
+            assert family.sizes.tolist() == [len(c) for c in family]
+        distinct = {tuple(sorted(s)) for s in SHUFFLED_SETS}
+        expected = sorted(distinct, key=lambda t: (len(t), t))
+        assert [c.indices for c in shuffled_family()] == expected
 
     def test_joint_ceiling(self):
         # judged before any space is formed: the product of the first 17
@@ -258,6 +331,14 @@ class TestOptimalQ:
         data = Dataset(SPACE4, [0] * 10)
         q, clamped = optimal_q(PsneSet([0]), data)
         assert (q, clamped) == (0.875, True)
+
+    @pytest.mark.parametrize(
+        "psne", [[], [0, 1, 2, 3], [0, 9]], ids=["empty", "full", "past-space"]
+    )
+    def test_rejects_invalid_set(self, psne):
+        # these once gave (1e-09, True), (0.875, True) and (0.500000001, True)
+        with pytest.raises(InputError):
+            optimal_q(PsneSet(psne), Dataset(SPACE4, [1] * 10))
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(20)
@@ -395,3 +476,51 @@ class TestDistinguishability:
         assert all(len(v) == 1 for v in by_class.values())
         distinct = [next(iter(v)) for v in by_class.values()]
         assert len(set(distinct)) == len(distinct)
+
+
+def _case_id(case):
+    if isinstance(case, str):
+        return case
+    n, k, sizes, grid = case
+    return f"{n}-{k}-{'x'.join(map(str, sizes))}-grid{len(grid)}"
+
+
+ORACLE_CASES = [*BUILT_FAMILIES, *EXPLICIT_FAMILIES]
+
+
+class TestFitOracle:
+    """`fit_counts` and `population_mle` against the in-set counts of one
+    int64 product with the |A|-wide membership matrix, over every family
+    the suite builds or declares, on seeded histograms and truths."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+    def test_fits_equal_matmul_oracle(self, case):
+        if isinstance(case, str):
+            family = EXPLICIT_FAMILIES[case]()
+        else:
+            family = built_family(*case)
+        members = member_matrix(family)
+        size = family.space.joint_size
+        rng = np.random.default_rng(1800 + len(family))
+        sparse = np.zeros(size, dtype=np.int64)
+        picks = rng.choice(size, size=min(5, size), replace=False)
+        sparse[picks] = rng.integers(1, 1000, size=len(picks))
+        hists = [
+            rng.integers(0, 40, size),
+            sparse,
+            np.eye(1, size, int(rng.integers(size)), dtype=np.int64)[0],
+            # in-set counts past 2**53, where a float sum would round
+            rng.integers(0, 2**56 // size, size),
+        ]
+        for hist in hists:
+            inside = estimator._in_set(family, hist[family.indices])
+            assert np.array_equal(inside, matmul_in_set(members, hist))
+            assert fit_counts(family, hist) == matmul_fit_counts(family, members, hist)
+        r = int(rng.integers(1, size))
+        outsider = PsneSet(rng.choice(size, size=r, replace=False))
+        for psne in (family[0], family[-1], family[len(family) // 2], outsider):
+            lo, up = len(psne) / size, 1.0 - 1.0 / (2.0 * size)
+            truth = MixtureModel(family.space, psne, lo + 0.6 * (up - lo))
+            assert population_mle(family, truth) == matmul_population_mle(
+                family, members, truth
+            )
