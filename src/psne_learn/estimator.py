@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InputError, check_capacity
 from .games import JOINT_CEILING, ActionSpace, PsneSet, _best_response_grid
 from .games import _int64_array, bounded_joint_size
-from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, nll_scale
+from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, mixture_interval
+from .mixture import nll_scale
 
 DEFAULT_GRID = (-1.0, 0.0, 1.0)
 # joint actions a family build may span
@@ -49,16 +50,16 @@ class CandidateFamily(Sequence):
 
     __slots__ = ("space", "provenance", "indices", "offsets")
 
-    def __init__(self, space: ActionSpace, psne_sets: Iterable[PsneSet], provenance):
+    def __init__(self, space: ActionSpace, psne_sets: Iterable[Iterable[int]], provenance):
+        """The distinct sets among `psne_sets`, each a `PsneSet` or any
+        iterable of joint indices; every set must hold 1..|A|-1 of them."""
         space._check_int64()
-        distinct = set()
-        for psne in psne_sets:
-            check_psne_set(psne, space.joint_size)
-            distinct.add(psne.indices)
+        distinct = {PsneSet(s).indices for s in psne_sets}
         sets = sorted(distinct, key=lambda t: (len(t), t))
-        lengths = np.fromiter(map(len, sets), np.int64, len(sets))
-        flat = np.fromiter(itertools.chain.from_iterable(sets), np.int64, lengths.sum())
-        self._store(space, provenance, flat, lengths)
+        for t in sets[:1] + sets[-1:]:  # the smallest and the largest size
+            mixture_interval(len(t), space.joint_size)
+        flat = space.check_indices(list(itertools.chain.from_iterable(sets)))
+        self._store(space, provenance, flat, np.fromiter(map(len, sets), np.int64, len(sets)))
 
     @classmethod
     def _from_masks(cls, space: ActionSpace, masks: list[int], provenance: str):

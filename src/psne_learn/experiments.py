@@ -56,7 +56,8 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             problems.append(f"kind must be one of {'/'.join(KINDS)}, got {self.kind!r}")
         sizes = self.action_sizes
-        problems += _class_param_problems(self.n, self.k, sizes or None)
+        class_problems = _class_param_problems(self.n, self.k, sizes or None)
+        problems += class_problems
         if not self.m_schedule:
             problems.append("m_schedule must be nonempty")
         if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
@@ -71,9 +72,14 @@ class ExperimentConfig:
             problems.append(f"delta={self.delta} outside (0, 1)")
         if self.seed < 0:
             problems.append(f"seed must be nonnegative, got {self.seed}")
-        # the library's own action-count, grid and PSNE-index rules
-        rules = (ActionSpace, sizes or (2,)), (_normalize_grid, self.grid)
-        for rule, value in (*rules, (PsneSet, self.truth_psne or ())):
+        if self.kind == "fano" and self.k < 1:
+            problems.append("fano runs need k >= 1")
+        # the library's own action-count, grid and PSNE-index rules; a fano
+        # run's q rule checks the action counts too, once the class is valid
+        fano = self.kind == "fano" and not class_problems
+        rules = [(_fano_q, self) if fano else (ActionSpace, sizes or (2,))]
+        rules += (_normalize_grid, self.grid), (PsneSet, self.truth_psne or ())
+        for rule, value in rules:
             try:
                 rule(value)
             except InputError as exc:
@@ -102,6 +108,17 @@ class ResultTable:
 
     def values(self, metric: str) -> list[tuple[int, float]]:
         return [(r.m, r.value) for r in self.rows if r.metric == metric]
+
+
+def _fano_q(config: ExperimentConfig) -> float:
+    """A fano run's q, `fano_q` or else 2/|A|, admitted for one equilibrium
+    among |A| joint actions; an InputError for bad action counts or for an
+    |A| past float range (found from n alone, before (2,) * n is built)."""
+    sizes = config.action_sizes
+    size = ActionSpace(sizes).joint_size if sizes else bounded_joint_size(config.n, ())
+    check_joint_size(size)
+    q = 2.0 / size if config.fano_q is None else config.fano_q
+    return mixture_interval(1, size).admit(q)
 
 
 def thread_count() -> int:
@@ -245,13 +262,8 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     """
     if config.kind != "fano":
         raise ConfigError(f"run_fano got a {config.kind!r} config")
-    if config.k < 1:
-        raise ConfigError("fano runs need k >= 1")
-    check_joint_size(bounded_joint_size(config.n, config.action_sizes), ConfigError)
-    space = ActionSpace(config.sizes)
+    space, q = ActionSpace(config.sizes), _fano_q(config)
     size = space.joint_size
-    q = config.fano_q if config.fano_q is not None else 2.0 / size
-    q = mixture_interval(1, size).admit(q, ConfigError)
 
     population = math.comb(config.n, config.k)
     enumerated = population <= ENUMERATE_PI_LIMIT

@@ -192,7 +192,7 @@ def read_family(path: str) -> CandidateFamily:
         check_joint_size(bounded_joint_size(len(sizes), sizes))
         return CandidateFamily(
             ActionSpace(sizes),
-            [PsneSet(c) for c in payload["candidates"]],
+            payload["candidates"],
             str(payload.get("provenance", "explicit list")),
         )
 

@@ -379,13 +379,18 @@ def enumerate_psne(game: PolymatrixGame) -> PsneSet:
 
 
 class LinearPsneForm:
-    """Equilibrium test as a conjunction of linear inequalities.
+    """Equilibrium test as a conjunction of sum_i |A_i| linear inequalities.
 
-    For each player i and action a there is a coefficient vector phi(i, a)
-    and a 0/1-valued feature vector y(i, x) of dimension
-    (1 + |A_i|) * (1 + sum_{j != i} |A_j|), arranged so that
+    Player i's potentials form one list of blocks: u_ii as an |A_i| x 1
+    block, then u_ij, or zeros when j is not a parent, for each j != i.
+    With z(i, x) = (1, then the one-hot of x_j for each j != i):
 
-        phi(i, a) . y(i, x) = u_i(x_i, x_N(i)) - u_i(a, x_N(i)).
+    - phi(i, a) is each block flattened in turn, then row a of every block;
+    - y(i, x) is the one-hot of x_i outer each part of z, then -z;
+
+    both of dimension (1 + |A_i|) * (1 + sum_{j != i} |A_j|), so that
+
+        phi(i, a) . y(i, x) = u_i(x) - u_i(a, x_{-i}).
 
     A joint action is a PSNE exactly when all sum_i |A_i| dot products are
     nonnegative.  Must agree with PolymatrixGame.is_psne on every input.
@@ -399,63 +404,28 @@ class LinearPsneForm:
 
     @classmethod
     def from_game(cls, game: PolymatrixGame) -> "LinearPsneForm":
-        space = game.space
-        n = space.n
         phis = []
-        for i in range(1, n + 1):
-            si = space.counts[i - 1]
-            others = [j for j in range(1, n + 1) if j != i]
-            dim = (1 + si) * (1 + sum(space.counts[j - 1] for j in others))
-            phi = np.zeros((si, dim))
-            nbrs = set(game.neighbors(i))
-            # shared prefix: the full potential vector, identical per row
-            theta = np.zeros(dim)
-            off = 0
-            theta[off : off + si] = game.unary_table(i)
-            off += si
-            pair_off: dict[int, int] = {}
-            for j in others:
-                sj = space.counts[j - 1]
-                pair_off[j] = off
-                if j in nbrs:
-                    theta[off : off + si * sj] = game.pairwise_table(i, j).ravel()
-                off += si * sj
-            deviation_base = off  # the -1 slot, then -[x_j = c] slots
-            phi[:, :deviation_base] = theta[None, :deviation_base]
-            for ai in range(si):
-                phi[ai, deviation_base] = game.unary_table(i)[ai]
-                off = deviation_base + 1
-                for j in others:
-                    sj = space.counts[j - 1]
-                    if j in nbrs:
-                        phi[ai, off : off + sj] = game.pairwise_table(i, j)[ai, :]
-                    off += sj
+        for i, si in enumerate(game.space.counts, start=1):
+            blocks = [game.unary_table(i)[:, None]]
+            for j, sj in enumerate(game.space.counts, start=1):
+                if j in game.neighbors(i):
+                    blocks.append(game.pairwise_table(i, j))
+                elif j != i:
+                    blocks.append(np.zeros((si, sj)))
+            flat = np.concatenate([b.ravel() for b in blocks])
+            phi = np.hstack([np.tile(flat, (si, 1)), *blocks])
             phi.flags.writeable = False
             phis.append(phi)
-        return cls(space, phis)
+        return cls(game.space, phis)
 
     def features(self, i: int, x: Sequence[int]) -> np.ndarray:
-        """y(i, x) in {-1, 0, 1}: indicators as played, then negated probes."""
-        space = self.space
-        space._check_player(i)
-        x = space._check_joint(x)
-        si = space.counts[i - 1]
-        others = [j for j in range(1, space.n + 1) if j != i]
-        dim = (1 + si) * (1 + sum(space.counts[j - 1] for j in others))
-        y = np.zeros(dim)
-        y[x[i - 1] - 1] = 1.0
-        off = si
-        for j in others:
-            sj = space.counts[j - 1]
-            y[off + (x[i - 1] - 1) * sj + (x[j - 1] - 1)] = 1.0
-            off += si * sj
-        y[off] = -1.0
-        off += 1
-        for j in others:
-            sj = space.counts[j - 1]
-            y[off + x[j - 1] - 1] = -1.0
-            off += sj
-        return y
+        """y(i, x) in {-1, 0, 1}: the one-hot of x_i outer each part of z, then -z."""
+        self.space._check_player(i)
+        x = self.space._check_joint(x)
+        one_hot = [np.eye(s)[a - 1] for s, a in zip(self.space.counts, x)]
+        z = [np.ones(1)] + one_hot[: i - 1] + one_hot[i:]
+        parts = [np.outer(one_hot[i - 1], part).ravel() for part in z]
+        return np.concatenate(parts + [0.0 - np.concatenate(z)])  # 0.0 - z keeps +0.0
 
     def margins(self, x: Sequence[int]) -> list[np.ndarray]:
         """Per-player vectors of payoff advantages over each deviation."""

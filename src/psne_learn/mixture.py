@@ -70,12 +70,12 @@ class MixtureInterval:
         return float(q)
 
 
-def check_joint_size(joint_size: int, error: type[Exception] = InputError) -> None:
+def check_joint_size(joint_size: int) -> None:
     """Reject a joint space past float range, where the q interval's
     endpoints |NE|/|A| and 1 - 1/(2|A|) cannot be formed."""
     if joint_size > sys.float_info.max:
         bits = int(joint_size).bit_length()
-        raise error(f"joint size reached {bits} bits, past float range")
+        raise InputError(f"joint size reached {bits} bits, past float range")
 
 
 def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
@@ -88,11 +88,13 @@ def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
     return MixtureInterval.of(psne_size, joint_size)
 
 
-def check_psne_set(psne: PsneSet, joint_size: int) -> None:
-    """Reject a PSNE set that is empty, full, or reaches past the joint space."""
-    mixture_interval(len(psne), joint_size)
+def check_psne_set(psne: PsneSet, joint_size: int) -> MixtureInterval:
+    """The set's q interval; an InputError for a set that is empty, full,
+    or reaches past the joint space."""
+    interval = mixture_interval(len(psne), joint_size)
     if psne.indices[-1] >= joint_size:
         raise InputError(f"PSNE set index {psne.indices[-1]} outside 0..{joint_size - 1}")
+    return interval
 
 
 class Dataset:
@@ -154,8 +156,7 @@ class MixtureModel:
 
     def __init__(self, space: ActionSpace, psne: PsneSet, q: float):
         size = space.joint_size
-        check_psne_set(psne, size)
-        q = mixture_interval(len(psne), size).admit(q)
+        q = check_psne_set(psne, size).admit(q)
         self.space = space
         self.psne = psne
         self.q = q

@@ -91,6 +91,65 @@ def sweep_psne_set(game):
     return PsneSet(np.flatnonzero(ok))
 
 
+def two_walk_phi(game):
+    """`LinearPsneForm`'s coefficient matrices by two hand-kept offset walks:
+    the potential prefix shared by every row (u_ii, then u_ij or zeros for
+    each j != i, flattened), then each row's deviation slots (u_ii[a], then
+    row a of u_ij or zeros).  `LinearPsneForm.from_game` must reproduce
+    them byte for byte."""
+    space = game.space
+    n = space.n
+    phis = []
+    for i in range(1, n + 1):
+        si = space.counts[i - 1]
+        others = [j for j in range(1, n + 1) if j != i]
+        dim = (1 + si) * (1 + sum(space.counts[j - 1] for j in others))
+        phi = np.zeros((si, dim))
+        nbrs = set(game.neighbors(i))
+        theta = np.zeros(dim)
+        theta[:si] = game.unary_table(i)
+        off = si
+        for j in others:
+            sj = space.counts[j - 1]
+            if j in nbrs:
+                theta[off : off + si * sj] = game.pairwise_table(i, j).ravel()
+            off += si * sj
+        deviation_base = off  # the -1 slot, then -[x_j = c] slots
+        phi[:, :deviation_base] = theta[None, :deviation_base]
+        for ai in range(si):
+            phi[ai, deviation_base] = game.unary_table(i)[ai]
+            off = deviation_base + 1
+            for j in others:
+                sj = space.counts[j - 1]
+                if j in nbrs:
+                    phi[ai, off : off + sj] = game.pairwise_table(i, j)[ai, :]
+                off += sj
+        phis.append(phi)
+    return phis
+
+
+def two_walk_features(space, i, x):
+    """y(i, x) by the same offset walk as `two_walk_phi`: indicators as
+    played, then the -1 slot and the negated indicators of each x_j."""
+    si = space.counts[i - 1]
+    others = [j for j in range(1, space.n + 1) if j != i]
+    dim = (1 + si) * (1 + sum(space.counts[j - 1] for j in others))
+    y = np.zeros(dim)
+    y[x[i - 1] - 1] = 1.0
+    off = si
+    for j in others:
+        sj = space.counts[j - 1]
+        y[off + (x[i - 1] - 1) * sj + (x[j - 1] - 1)] = 1.0
+        off += si * sj
+    y[off] = -1.0
+    off += 1
+    for j in others:
+        sj = space.counts[j - 1]
+        y[off + x[j - 1] - 1] = -1.0
+        off += sj
+    return y
+
+
 def unique_map_decoder(space, indices, k):
     """MAP player set of one trial's joint indices, one trial at a time:
     `np.unique` counts each distinct index, one pass per player over all

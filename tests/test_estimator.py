@@ -25,7 +25,7 @@ from psne_learn import (
     population_mle,
 )
 from psne_learn import estimator
-from psne_learn.estimator import fit_counts
+from psne_learn.estimator import CandidateFamily, fit_counts
 from helpers import (
     all_subsets_family,
     direct_player_regions,
@@ -313,6 +313,26 @@ class TestFamilyFactories:
         for bad in ([0, 1, 2, 3], [], [4]):
             with pytest.raises(InputError):
                 explicit_family((2, 2), [bad])
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ([[0], [1, 5], [0, 1, 2]], "joint indices 0..5 reach past 0..3"),
+            ([[0], [1, 2], [0, 1, 2, 3]], "PSNE size 4 must lie in 1..3"),
+            ([[0, 1], [], [2]], "PSNE size 0 must lie in 1..3"),
+            ([[0, 2**70]], "reach past int64"),
+            ([[1, -1]], "joint-action indices must be nonnegative"),
+        ],
+        ids=["index-past-A", "full", "empty", "past-int64", "negative"],
+    )
+    def test_one_bad_set_among_good_ones(self, sets, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            CandidateFamily(ActionSpace((2, 2)), sets, "explicit list")
+
+    def test_explicit_sets_may_be_any_iterables(self):
+        sets = [(3, 0), np.array([0, 3]), range(1, 2), PsneSet([2])]
+        family = CandidateFamily(ActionSpace((2, 2)), iter(sets), "explicit list")
+        assert [c.indices for c in family] == [(1,), (2,), (0, 3)]
 
 
 class TestOptimalQ:

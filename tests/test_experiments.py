@@ -34,6 +34,13 @@ class TestConfigValidation:
         for fragment in ("kind", "n must be", "strictly increasing", "trials", "delta"):
             assert fragment in message
 
+    def test_fano_rules_reported_with_the_rest(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="fano", n=4, k=0, fano_q=2.0, trials=0)
+        message = str(err.value)
+        for fragment in ("trials", "k >= 1", "q=2.0 inadmissible"):
+            assert fragment in message
+
     def test_recovery_needs_positive_samples(self):
         with pytest.raises(ConfigError, match="at least one sample"):
             ExperimentConfig(kind="recovery", m_schedule=(0, 5))
@@ -41,6 +48,27 @@ class TestConfigValidation:
     def test_fano_allows_zero_samples(self):
         config = ExperimentConfig(kind="fano", n=4, k=1, m_schedule=(0, 5), trials=2)
         assert config.m_schedule == (0, 5)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"k": 0}, "fano runs need k >= 1"),
+            ({"n": 1100}, "joint size reached 1025 bits, past float range"),
+            ({"fano_q": 1 / 16}, "q=0.0625 inadmissible: outside (0.0625, 0.96875]"),
+            ({"action_sizes": (2, 1, 2, 2)}, "every action count must be >= 2"),
+        ],
+        ids=["k0", "past-float-range", "q", "action-count"],
+    )
+    def test_fano_rules_checked_at_construction(self, fields, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{"kind": "fano", "n": 4, "k": 1, **fields})
+        assert str(err.value).startswith(message) and ";" not in str(err.value)
+
+    def test_fano_q_rule_waits_for_a_valid_class(self):
+        # n=1 has no q interval to speak of: only the class rules report
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="fano", n=1, k=0)
+        assert str(err.value) == "n must be at least 2, got 1; fano runs need k >= 1"
 
     def test_sizes_default_to_binary(self):
         config = ExperimentConfig(kind="fano", n=5, k=1, m_schedule=(0,), trials=1)

@@ -22,7 +22,27 @@ from helpers import (
     random_grid_game,
     spin_psne_set,
     sweep_psne_set,
+    two_walk_features,
+    two_walk_phi,
 )
+
+
+def random_integer_game(rng):
+    """2-4 players of 2-3 actions, random parents and unnormalized integer
+    potentials in -3..3."""
+    n = int(rng.integers(2, 5))
+    sizes = [int(s) for s in rng.integers(2, 4, size=n)]
+    neighbors = {
+        i: [j for j in range(1, n + 1) if j != i and rng.random() < 0.6]
+        for i in range(1, n + 1)
+    }
+    unary = {i: rng.integers(-3, 4, size=sizes[i - 1]) for i in neighbors}
+    pairwise = {
+        (i, j): rng.integers(-3, 4, size=(sizes[i - 1], sizes[j - 1]))
+        for i, parents in neighbors.items()
+        for j in parents
+    }
+    return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
 def coordination_game():
@@ -347,10 +367,49 @@ class TestLinearForm:
             for x in all_joint_actions(sizes):
                 assert form.is_psne(x) == game.is_psne(x)
 
+    def test_margins_are_payoff_differences(self):
+        # phi(i, a) . y(i, x) = u_i(x) - u_i(a, x_-i) exactly, for every
+        # player, action and joint action of unnormalized integer games
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            game = random_integer_game(rng)
+            form = LinearPsneForm.from_game(game)
+            for x in all_joint_actions(game.space.counts):
+                for i, margin in enumerate(form.margins(x), start=1):
+                    deviations = [
+                        game.payoff(i, x) - game.payoff(i, x[: i - 1] + (a,) + x[i:])
+                        for a in range(1, game.space.counts[i - 1] + 1)
+                    ]
+                    assert margin.tolist() == deviations
+
+    def test_matches_two_walk_oracle_bytes(self):
+        # -0.0 in the grid: phi copies each potential with its sign
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            sizes = tuple(int(s) for s in rng.integers(2, 4, size=n))
+            k = int(rng.integers(0, n))
+            game = random_grid_game(rng, n, k, sizes, (-1.0, -0.0, 0.0, 1.0, 2.5))
+            form = LinearPsneForm.from_game(game)
+            oracle = two_walk_phi(game)
+            for phi, want in zip(form._phi, oracle, strict=True):
+                assert phi.shape == want.shape and phi.tobytes() == want.tobytes()
+            for x in all_joint_actions(sizes):
+                for i, margin in enumerate(form.margins(x), start=1):
+                    y = two_walk_features(game.space, i, x)
+                    assert form.features(i, x).tobytes() == y.tobytes()
+                    assert margin.tobytes() == (oracle[i - 1] @ y).tobytes()
+
+    def test_joint_action_of_wrong_length(self):
+        form = LinearPsneForm.from_game(coordination_game())
+        with pytest.raises(InputError, match="expected 2 actions"):
+            form.is_psne((1, 1, 1))
+
     def test_dimension_mismatch(self):
         form = LinearPsneForm.from_game(coordination_game())
-        with pytest.raises(InputError):
-            form.is_psne((1, 1, 1))
+        narrow = LinearPsneForm(form.space, [phi[:, :-1] for phi in form._phi])
+        with pytest.raises(InputError, match="feature/coefficient dimension mismatch"):
+            narrow.margins((1, 1))
 
 
 class TestWeightEmbedding:
