@@ -3,15 +3,27 @@
 Every harness output is a pure function of (config, master seed).  Trial
 randomness derives from the master seed through numpy SeedSequence with a
 fixed spawn key: (0,) reserves a stream for drawing the truth instance,
-and (1, m_index, trial_index) yields the per-trial stream, from which
-integer sub-seeds are read as consecutive 32-bit words.  Trials run on
-the calling thread in trial-index order.
+and (1, m_index, trial_index) yields the per-trial stream.  Its uint32
+words are read in pairs, high word first, as 64-bit integer sub-seeds
+(one per trial for recovery and gap; the hidden set's, then the draw's,
+for fano), and each sub-seed seeds one `default_rng`.  Trials run on the
+calling thread in trial-index order.
+
+Those output bytes are the contract, so the per-trial seeding is not
+done by calling numpy per trial: `_seed_words` evaluates numpy's
+published SeedSequence algorithm (pool of 4, hashmix, mix, and
+generate_state) on uint32 columns, one entry per trial, for a chunk of
+SEED_CHUNK trials at a time.  The same kernel then mixes each sub-seed's
+two words into the four uint64 words PCG64 seeds from, and numpy's own
+PCG64 takes them through an `ISeedSequence` that returns them, so every
+trial's Generator is bit-identical to `default_rng(sub_seed)`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -22,7 +34,7 @@ from .bounds import fano_error_lower_bound
 from .errors import ConfigError, InputError
 from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_counts
 from .estimator import _normalize_grid, _class_param_problems
-from .games import ActionSpace, PsneSet, bounded_joint_size, encode_joint_action
+from .games import ActionSpace, PsneSet, _integer, bounded_joint_size, encode_joint_action
 from .influence import _decode_rows, all_influence_sets, influence_game, influence_psne
 from .mixture import SAMPLE_BLOCK, MixtureModel, check_joint_size, expected_nll
 from .mixture import MixtureInterval, mixture_interval
@@ -53,30 +65,56 @@ class ExperimentConfig:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         problems = []
+
+        def read(rule, value, what):
+            """`rule(value, what)`, or None with its message listed."""
+            try:
+                return rule(value, what)
+            except InputError as exc:
+                problems.append(str(exc))
+
         if self.kind not in KINDS:
             problems.append(f"kind must be one of {'/'.join(KINDS)}, got {self.kind!r}")
+        # a field of the wrong type reports that, and the rules reading it wait
+        n, k, trials, seed = integers = [
+            read(_integer, getattr(self, name), name) for name in ("n", "k", "trials", "seed")
+        ]
+        schedule = [read(_integer, m, "sample size") for m in self.m_schedule]
+        # numpy integers are stored as Python ints, which the seeding and JSON take
+        for name, value in zip(("n", "k", "trials", "seed"), integers):
+            if value is not None:
+                object.__setattr__(self, name, value)
+        if None not in schedule:
+            object.__setattr__(self, "m_schedule", tuple(schedule))
+        delta = read(_real, self.delta, "delta")
+        read(_real, self.q_star, "q_star")
+        fano_q_ok = self.fano_q is None or read(_real, self.fano_q, "fano_q") is not None
         sizes = self.action_sizes
-        class_problems = _class_param_problems(self.n, self.k, sizes or None)
-        problems += class_problems
-        if not self.m_schedule:
+        class_ok = None not in (n, k)
+        if class_ok:
+            class_problems = _class_param_problems(n, k, sizes or None)
+            problems += class_problems
+            class_ok = not class_problems
+        if not schedule:
             problems.append("m_schedule must be nonempty")
-        if any(b <= a for a, b in zip(self.m_schedule, self.m_schedule[1:])):
-            problems.append(f"m_schedule must be strictly increasing: {self.m_schedule}")
-        if any(m < 0 for m in self.m_schedule):
-            problems.append("sample sizes cannot be negative")
-        if self.kind in ("recovery", "gap") and any(m < 1 for m in self.m_schedule):
-            problems.append(f"{self.kind} runs need at least one sample per trial")
-        if self.trials < 1:
-            problems.append(f"trials must be at least 1, got {self.trials}")
-        if not 0.0 < self.delta < 1.0:
+        if None not in schedule:
+            if any(b <= a for a, b in zip(schedule, schedule[1:])):
+                problems.append(f"m_schedule must be strictly increasing: {self.m_schedule}")
+            if any(m < 0 for m in schedule):
+                problems.append("sample sizes cannot be negative")
+            if self.kind in ("recovery", "gap") and any(m < 1 for m in schedule):
+                problems.append(f"{self.kind} runs need at least one sample per trial")
+        if trials is not None and trials < 1:
+            problems.append(f"trials must be at least 1, got {trials}")
+        if delta is not None and not 0.0 < delta < 1.0:
             problems.append(f"delta={self.delta} outside (0, 1)")
-        if self.seed < 0:
-            problems.append(f"seed must be nonnegative, got {self.seed}")
-        if self.kind == "fano" and self.k < 1:
+        if seed is not None and seed < 0:
+            problems.append(f"seed must be nonnegative, got {seed}")
+        if self.kind == "fano" and k is not None and k < 1:
             problems.append("fano runs need k >= 1")
         # the library's own action-count, grid and PSNE-index rules; a fano
         # run's q rule checks the action counts too, once the class is valid
-        fano = self.kind == "fano" and not class_problems
+        fano = self.kind == "fano" and class_ok and fano_q_ok
         rules = [(_fano_q, self) if fano else (ActionSpace, sizes or (2,))]
         rules += (_normalize_grid, self.grid), (PsneSet, self.truth_psne or ())
         for rule, value in rules:
@@ -110,6 +148,13 @@ class ResultTable:
         return [(r.m, r.value) for r in self.rows if r.metric == metric]
 
 
+def _real(value, what: str) -> float:
+    """`value` as a float; anything but a real number (a bool, a str) is an InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _fano_q(config: ExperimentConfig) -> float:
     """A fano run's q, `fano_q` or else 2/|A|, admitted for one equilibrium
     among |A| joint actions; an InputError for bad action counts or for an
@@ -126,13 +171,113 @@ def thread_count() -> int:
     return 1
 
 
-def _trial_words(master: int, m_index: int, trial_index: int, words: int) -> list[int]:
-    state = np.random.SeedSequence(
-        entropy=master, spawn_key=(1, m_index, trial_index)
-    ).generate_state(2 * words)
-    return [
-        (int(state[2 * w]) << 32) | int(state[2 * w + 1]) for w in range(words)
-    ]
+SEED_CHUNK = 1 << 10  # trials per seeding pass; a power of two, so no pass straddles 2**32
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for a
+# pool of 4 uint32 words; the running hash constants step as Python ints
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, while mixing entropy
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hasher(const: int, mult: int):
+    """numpy's hashmix over uint32 arrays: xor the running constant, step
+    it, multiply by the new one, then xorshift by 16."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> 16
+
+
+def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """numpy's SeedSequence.mix_entropy: entropy columns, first word first,
+    into the 4-word pool; columns broadcast, so shared words cost one."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """numpy's SeedSequence.generate_state(n_words), one column per word."""
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    return [hashmix(pool[i % 4]) for i in range(n_words)]
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words numpy reads a nonnegative int as, low word first."""
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _seed_words(master: int, m_index: int, lo: int, hi: int, streams: int) -> np.ndarray:
+    """(hi - lo, streams, 4) uint64: for trials lo..hi-1 of m_index, the
+    words PCG64 seeds each sub-seed's stream from; lo..hi-1 must lie on
+    one side of 2**32, where trial indices take a second word."""
+    master_words = _words(master)
+    master_words += [0] * (4 - len(master_words))  # a spawned sequence pads to the pool
+    prefix = [np.array([w], dtype=np.uint32) for w in master_words + [1] + _words(m_index)]
+    index = np.arange(lo, hi, dtype=np.uint64)
+    trial = [index.astype(np.uint32)]  # the low words
+    if lo >> 32:
+        trial.append((index >> 32).astype(np.uint32))
+    state = _state(_pool(prefix + trial), 2 * streams)
+    # sub-seed w is (state[2w] << 32) | state[2w + 1]
+    low, high = (np.stack(state[i::2], axis=1).ravel() for i in (1, 0))
+    return _pcg64_words(low, high).reshape(hi - lo, streams, 4)
+
+
+def _pcg64_words(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """(len, 4) uint64: SeedSequence(sub-seed).generate_state(4, np.uint64),
+    which PCG64 seeds from, for the sub-seeds low + (high << 32); a high
+    word of 0 mixes as numpy's one-word entropy of a sub-seed below 2**32."""
+    state = np.stack(_state(_pool([low, high]), 8), axis=1).astype(np.uint64)
+    # the 8 words read as 4 little-endian uint64s
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _generators(words: np.ndarray):
+    """Per row of `_seed_words` output, a Generator per stream: numpy's
+    PCG64 seeded from the stream's four words."""
+    # numpy.random loads here, on first use, not when psne_learn is imported
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """What PCG64 asks a seed sequence for: its four seeding words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    for row in words:
+        yield [np.random.Generator(np.random.PCG64(SeedWords(w))) for w in row]
+
+
+def _trial_rngs(master: int, m_index: int, trials: int, streams: int):
+    """Per trial, in index order, its `streams` Generators: those of
+    `default_rng` on each sub-seed (see the module docstring)."""
+    for lo in range(0, trials, SEED_CHUNK):
+        hi = min(lo + SEED_CHUNK, trials)
+        yield from _generators(_seed_words(master, m_index, lo, hi, streams))
 
 
 def _freq_row(m: int, metric: str, hits: Sequence[bool]) -> ResultRow:
@@ -189,11 +334,8 @@ def _fit_trials(config: ExperimentConfig):
     truth = _choose_truth(config, family)
     trials = []
     for mi, m in enumerate(config.m_schedule):
-        fits = []
-        for ti in range(config.trials):
-            (data_seed,) = _trial_words(config.seed, mi, ti, 1)
-            fits.append(fit_counts(family, truth.tally(m, data_seed)))
-        trials.append((m, fits))
+        rngs = _trial_rngs(config.seed, mi, config.trials, 1)
+        trials.append((m, [fit_counts(family, truth.tally(m, rng)) for (rng,) in rngs]))
     meta = _base_meta(config)
     meta["derived"] = {
         "family_size": len(family),
@@ -272,19 +414,17 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
         games = (influence_game(config.n, config.k, pi, space.counts) for pi in pis)
         models = [MixtureModel(space, game.psne, q) for game in games]
 
-    def trial(mi, m, ti, out) -> tuple[int, ...]:
-        """Draw trial ti's hidden set, and its m observations into `out`."""
-        pi_seed, data_seed = _trial_words(config.seed, mi, ti, 2)
-        rng = np.random.default_rng(pi_seed)
+    def trial(m, out, pi_rng, data_rng) -> tuple[int, ...]:
+        """Draw a trial's hidden set, and its m observations into `out`."""
         if enumerated:
-            j = int(rng.integers(len(pis)))
+            j = int(pi_rng.integers(len(pis)))
             pi, model = pis[j], models[j]
         else:
-            chosen = rng.choice(config.n, size=config.k, replace=False) + 1
+            chosen = pi_rng.choice(config.n, size=config.k, replace=False) + 1
             pi = tuple(sorted(int(i) for i in chosen))
             index = encode_joint_action(space, influence_psne(pi, config.n))
             model = MixtureModel(space, PsneSet([index]), q)
-        for _ in model._blocks(m, data_seed, out=out):
+        for _ in model._blocks(m, data_rng, out=out):
             pass
         return pi
 
@@ -292,10 +432,10 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     for mi, m in enumerate(config.m_schedule):
         # a block holds at most max(m, SAMPLE_BLOCK) draws
         block = max(1, SAMPLE_BLOCK // max(m, 1))
-        errors = []
+        errors, rngs = [], _trial_rngs(config.seed, mi, config.trials, 2)
         for lo in range(0, config.trials, block):
             draws = np.empty((min(block, config.trials - lo), m), dtype=np.int64)
-            pis_drawn = [trial(mi, m, lo + t, out) for t, out in enumerate(draws)]
+            pis_drawn = [trial(m, out, *pair) for out, pair in zip(draws, rngs)]
             decoded = _decode_rows(space, draws, config.k)
             errors += [d != pi for d, pi in zip(decoded, pis_drawn)]
         rows.append(_freq_row(m, "map_error", errors))

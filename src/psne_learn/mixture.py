@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InputError, check_capacity
 from .games import INDEX_CEILING  # re-exported
-from .games import JOINT_CEILING, ActionSpace, PsneSet
+from .games import JOINT_CEILING, ActionSpace, PsneSet, _integer
 
 SAMPLE_BLOCK = 1 << 13  # doubles per block of the sampler's reused uniform buffer
 
@@ -181,9 +181,11 @@ class MixtureModel:
         """-ln p(x) / ln(2|A|^2), always within [0, 1]."""
         return self._membership(index, self.in_set_nll, self.out_set_nll)
 
-    def _blocks(self, m: int, seed: int, out: np.ndarray | None = None):
+    def _blocks(self, m: int, seed, out: np.ndarray | None = None):
         """The draw of m observations, as a generator of each block's joint
-        indices; bit-identical for identical (m, seed).
+        indices; bit-identical for identical (m, seed).  The seed is a
+        nonnegative int, or a Generator to draw from (as `default_rng`
+        takes it), which then equals `default_rng` of its int seed.
 
         Each sample consumes two uniforms from one generator stream, taken
         in two passes of SAMPLE_BLOCK doubles through one reused buffer:
@@ -202,9 +204,9 @@ class MixtureModel:
         Not itself a generator, so a bad m or seed and the int64 ceiling
         raise on the call, before anything is allocated or drawn.
         """
-        if m < 0:
+        if _integer(m, "sample count") < 0:
             raise InputError("sample count must be nonnegative")
-        if seed < 0:
+        if not isinstance(seed, np.random.Generator) and _integer(seed, "seed") < 0:
             raise InputError(f"seed must be nonnegative, got {seed}")
         self.space._check_int64()
 
@@ -243,15 +245,16 @@ class MixtureModel:
 
         return blocks()
 
-    def sample(self, m: int, seed: int) -> Dataset:
-        """Draw m observations: the blocks of `_blocks` (see there), written
-        straight into the dataset's index array."""
-        idx = np.empty(max(m, 0), dtype=np.int64)  # a negative m raises below
+    def sample(self, m: int, seed) -> Dataset:
+        """Draw m observations: the blocks of `_blocks` (see there, also for
+        the seed), written straight into the dataset's index array."""
+        # a negative m, or a bad seed, raises in `_blocks`
+        idx = np.empty(max(_integer(m, "sample count"), 0), dtype=np.int64)
         for _ in self._blocks(m, seed, out=idx):
             pass
         return Dataset(self.space, idx)
 
-    def tally(self, m: int, seed: int) -> np.ndarray:
+    def tally(self, m: int, seed) -> np.ndarray:
         """Int64 counts of the m observations `sample(m, seed)` draws, one
         per joint index: np.bincount(sample(m, seed).indices, minlength=|A|),
         summed block by block.  It holds no m-long index array, only the

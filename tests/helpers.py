@@ -437,6 +437,24 @@ def random_model(rng, max_joint=256, max_psne=None):
     return MixtureModel(space, psne, q)
 
 
+def _trial_words(master, m_index, trial_index, words):
+    """Trial `trial_index`'s integer sub-seeds straight from numpy: the
+    SeedSequence of spawn key (1, m_index, trial_index), its uint32 words
+    read in pairs, high word first.  The seeding `experiments._seed_words`
+    must reproduce."""
+    state = np.random.SeedSequence(
+        entropy=master, spawn_key=(1, m_index, trial_index)
+    ).generate_state(2 * words)
+    return [(int(state[2 * w]) << 32) | int(state[2 * w + 1]) for w in range(words)]
+
+
+def trial_rngs(master, m_index, trials, streams):
+    """Per trial, `default_rng` of each of its sub-seeds: the Generators
+    `experiments._trial_rngs` must reproduce, one numpy call at a time."""
+    for ti in range(trials):
+        yield [np.random.default_rng(w) for w in _trial_words(master, m_index, ti, streams)]
+
+
 def masked_sample_indices(model, m, seed):
     """The sampler's draw with boolean-mask gathers and a rank lookup per
     complement draw: the formula `MixtureModel.sample` must reproduce."""

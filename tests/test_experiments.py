@@ -16,7 +16,17 @@ from psne_learn import (
     run_generalization_gap,
     run_recovery,
 )
-from psne_learn.experiments import _fit_trials, _trial_words
+from psne_learn import experiments
+from psne_learn.experiments import (
+    ENUMERATE_PI_LIMIT,
+    SEED_CHUNK,
+    _fit_trials,
+    _generators,
+    _pcg64_words,
+    _seed_words,
+)
+
+from helpers import _trial_words, trial_rngs
 from psne_learn.mixture import SAMPLE_BLOCK
 
 
@@ -69,6 +79,48 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind="fano", n=1, k=0)
         assert str(err.value) == "n must be at least 2, got 1; fano runs need k >= 1"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+            ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+            ({"m_schedule": (10.5,)}, "sample size must be an integer, got 10.5"),
+            ({"n": 3.0}, "n must be an integer, got 3.0"),
+            ({"k": 1.0}, "k must be an integer, got 1.0"),
+            ({"q_star": "0.7"}, "q_star must be a real number, got '0.7'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"delta": None}, "delta must be a real number, got None"),
+            ({"kind": "fano", "fano_q": "0.1"}, "fano_q must be a real number, got '0.1'"),
+        ],
+        ids=[
+            "float-seed", "float-trials", "float-m", "float-n", "float-k",
+            "str-q-star", "bool-seed", "bool-trials", "none-delta", "str-fano-q",
+        ],
+    )
+    def test_field_types_checked(self, fields, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{"kind": "recovery", "n": 3, "k": 1, **fields})
+        assert str(err.value) == message
+
+    def test_type_errors_reported_with_the_rest(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="gap", n=3, k=1.0, seed=2.5, trials=0, m_schedule=(5, 5))
+        assert str(err.value) == (
+            "k must be an integer, got 1.0; seed must be an integer, got 2.5; "
+            "m_schedule must be strictly increasing: (5, 5); "
+            "trials must be at least 1, got 0"
+        )
+
+    def test_numpy_integers_read_as_ints(self):
+        plain = ExperimentConfig(kind="fano", n=4, k=1, m_schedule=(0, 3), trials=3, seed=5)
+        config = ExperimentConfig(
+            kind="fano", n=np.int64(4), k=np.int32(1), m_schedule=np.array([0, 3]),
+            trials=np.int64(3), seed=np.uint64(5),
+        )
+        assert config == plain and type(config.seed) is int
+        assert run_fano(config) == run_fano(plain)
 
     def test_sizes_default_to_binary(self):
         config = ExperimentConfig(kind="fano", n=5, k=1, m_schedule=(0,), trials=1)
@@ -264,6 +316,67 @@ class TestFanoPins:
             (9000, "map_error", 0.0, 0.0, 8),
             (9000, "fano_bound", 0.0, 0.0, 8),
         ]
+
+
+class TestTrialSeeding:
+    """The vectorized seeding pass against numpy's own SeedSequence and
+    `default_rng`, one trial at a time."""
+
+    MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 7, 2**200)
+    M_INDICES = (0, 7, 2**32 + 1)
+    # trial ranges on one side of 2**32, where an index takes a second word
+    RANGES = ((0, 50), (2**32 - 1, 2**32), (2**32, 2**32 + 1), (2**40, 2**40 + 1))
+
+    @staticmethod
+    def assert_default_rngs(generators, seeds):
+        for rng, seed in zip(generators, seeds, strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_generators_equal_default_rng(self, streams):
+        for master in self.MASTERS:
+            for mi in self.M_INDICES:
+                for lo, hi in self.RANGES:
+                    words = _seed_words(master, mi, lo, hi, streams)
+                    assert words.shape == (hi - lo, streams, 4)
+                    for ti, rngs in zip(range(lo, hi), _generators(words), strict=True):
+                        self.assert_default_rngs(rngs, _trial_words(master, mi, ti, streams))
+
+    def test_sub_seed_words(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        low = np.array([s & 0xFFFFFFFF for s in seeds], dtype=np.uint32)
+        high = np.array([s >> 32 for s in seeds], dtype=np.uint32)
+        (rngs,) = _generators(_pcg64_words(low, high)[None])
+        self.assert_default_rngs(rngs, seeds)
+
+    @staticmethod
+    def oracle_table(monkeypatch, runner, config):
+        """The run with every trial seeded by numpy, one call per sub-seed."""
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_trial_rngs", trial_rngs)
+            return runner(config)
+
+    @pytest.mark.parametrize("trials", [SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1])
+    def test_chunk_edges_match_oracle(self, monkeypatch, trials):
+        fano = ExperimentConfig(kind="fano", n=4, k=1, m_schedule=(0, 3), trials=trials, seed=3)
+        recovery = ExperimentConfig(
+            kind="recovery", n=2, k=1, m_schedule=(2,), trials=trials, seed=4
+        )
+        for runner, config in ((run_fano, fano), (run_recovery, recovery)):
+            assert runner(config) == self.oracle_table(monkeypatch, runner, config)
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (30, 5)], ids=["enumerated", "sampled"])
+    def test_fano_branches_match_oracle(self, monkeypatch, n, k):
+        assert (math.comb(n, k) > ENUMERATE_PI_LIMIT) == (n == 30)
+        config = ExperimentConfig(kind="fano", n=n, k=k, m_schedule=(0, 4, 40), trials=25, seed=9)
+        table = run_fano(config)
+        assert table.meta["derived"]["enumerated"] == (n == 5)
+        assert table == self.oracle_table(monkeypatch, run_fano, config)
+
+    def test_gap_matches_oracle(self, monkeypatch):
+        config = ExperimentConfig(kind="gap", n=3, k=1, m_schedule=(3, 30), trials=20, seed=2**40)
+        table = run_generalization_gap(config)
+        assert table == self.oracle_table(monkeypatch, run_generalization_gap, config)
 
 
 class TestFitTrials:

@@ -195,6 +195,39 @@ class TestSampling:
             model.sample(1, -1)
 
 
+class TestDrawArguments:
+    """`sample` and `tally` read m and an int seed through `_integer`, and
+    take a Generator as the seed, as numpy's `default_rng` does."""
+
+    MODEL = MixtureModel(SPACE4, PsneSet([0]), 0.5)
+
+    @pytest.mark.parametrize(
+        "method, m, seed, message",
+        [
+            ("sample", 10, 2.5, "seed must be an integer, got 2.5"),
+            ("sample", 2.5, 1, "sample count must be an integer, got 2.5"),
+            ("tally", 10.0, 1, "sample count must be an integer, got 10.0"),
+            ("sample", 10, True, "seed must be an integer, got True"),
+            ("tally", 10, "1", "seed must be an integer, got '1'"),
+            ("tally", 10, -1, "seed must be nonnegative, got -1"),
+        ],
+        ids=["float-seed", "float-m", "float-m-tally", "bool-seed", "str-seed", "negative-seed"],
+    )
+    def test_bad_types_are_input_errors(self, method, m, seed, message):
+        with pytest.raises(InputError) as err:
+            getattr(self.MODEL, method)(m, seed)
+        assert str(err.value) == message
+
+    def test_generator_seed_equals_its_int_seed(self):
+        model = MixtureModel(ActionSpace((3, 2, 2)), PsneSet([1, 5, 7]), 0.6)
+        for m in (0, 5, SAMPLE_BLOCK + 1):
+            for s in (0, 7, 2**32 - 1, 2**64 + 3):
+                tally = model.tally(m, np.random.default_rng(s))
+                assert np.array_equal(tally, model.tally(m, s))
+                assert model.sample(m, np.random.default_rng(s)) == model.sample(m, s)
+        assert model.sample(5, np.int64(7)) == model.sample(5, 7)
+
+
 class TestTally:
     # the block edges of TestSampling, on the joint-index table (|A| <= m)
     # and on the rank lookup (|A| > m): the 2**13-joint space switches
