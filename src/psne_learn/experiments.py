@@ -76,19 +76,27 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             problems.append(f"kind must be one of {'/'.join(KINDS)}, got {self.kind!r}")
         # a field of the wrong type reports that, and the rules reading it wait
-        n, k, trials, seed = integers = [
+        n, k, trials, seed = [
             read(_integer, getattr(self, name), name) for name in ("n", "k", "trials", "seed")
         ]
         schedule = [read(_integer, m, "sample size") for m in self.m_schedule]
-        # numpy integers are stored as Python ints, which the seeding and JSON take
-        for name, value in zip(("n", "k", "trials", "seed"), integers):
+        grid = [read(_real, v, "grid value") for v in self.grid]
+        delta, q_star = (read(_real, getattr(self, name), name) for name in ("delta", "q_star"))
+        fano_q = None if self.fano_q is None else read(_real, self.fano_q, "fano_q")
+        # numpy numbers are stored as the Python ints and floats they hold,
+        # which the seeding and JSON take; action counts and PSNE indices
+        # that are not integers are left to their own rules below
+        read_as = dict(
+            n=n, k=k, trials=trials, seed=seed, delta=delta, q_star=q_star, fano_q=fano_q,
+            m_schedule=None if None in schedule else tuple(schedule),
+            grid=None if None in grid else tuple(grid),
+            action_sizes=_integers(self.action_sizes),
+            truth_psne=self.truth_psne and _integers(self.truth_psne),
+        )
+        for name, value in read_as.items():
             if value is not None:
                 object.__setattr__(self, name, value)
-        if None not in schedule:
-            object.__setattr__(self, "m_schedule", tuple(schedule))
-        delta = read(_real, self.delta, "delta")
-        read(_real, self.q_star, "q_star")
-        fano_q_ok = self.fano_q is None or read(_real, self.fano_q, "fano_q") is not None
+        fano_q_ok = self.fano_q is None or fano_q is not None
         sizes = self.action_sizes
         class_ok = None not in (n, k)
         if class_ok:
@@ -116,7 +124,9 @@ class ExperimentConfig:
         # run's q rule checks the action counts too, once the class is valid
         fano = self.kind == "fano" and class_ok and fano_q_ok
         rules = [(_fano_q, self) if fano else (ActionSpace, sizes or (2,))]
-        rules += (_normalize_grid, self.grid), (PsneSet, self.truth_psne or ())
+        if None not in grid:
+            rules.append((_normalize_grid, self.grid))
+        rules.append((PsneSet, self.truth_psne or ()))
         for rule, value in rules:
             try:
                 rule(value)
@@ -148,11 +158,21 @@ class ResultTable:
         return [(r.m, r.value) for r in self.rows if r.metric == metric]
 
 
-def _real(value, what: str) -> float:
-    """`value` as a float; anything but a real number (a bool, a str) is an InputError."""
+def _real(value, what: str) -> int | float:
+    """`value` as a Python int if it is an integer, else as a float, so an
+    integer grid value keeps its JSON form; anything but a real number (a
+    bool, a str) is an InputError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def _integers(values) -> tuple[int, ...] | None:
+    """`values` as Python ints, or None if one of them is not an integer."""
+    try:
+        return tuple(_integer(v, "value") for v in values)
+    except InputError:
+        return None
 
 
 def _fano_q(config: ExperimentConfig) -> float:
@@ -398,8 +418,10 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     """MAP decoding error over the influential-players family vs the bound.
 
     The hidden player set is drawn uniformly per trial: from the full
-    enumeration when it is small, otherwise by uniform sampling.  Trials
-    are drawn in index order, in blocks of at most SAMPLE_BLOCK // m that
+    enumeration when it is small, otherwise by uniform sampling.  An
+    enumerated pi's game is built and verified by `influence_game` on its
+    first draw, and a pi that no trial draws is never built.  Trials are
+    drawn in index order, in blocks of at most SAMPLE_BLOCK // m that
     share one (trials x m) array of draws and one pass of the row decoder.
     """
     if config.kind != "fano":
@@ -410,15 +432,17 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     population = math.comb(config.n, config.k)
     enumerated = population <= ENUMERATE_PI_LIMIT
     if enumerated:
-        pis = all_influence_sets(config.n, config.k)
-        games = (influence_game(config.n, config.k, pi, space.counts) for pi in pis)
-        models = [MixtureModel(space, game.psne, q) for game in games]
+        pis, models = all_influence_sets(config.n, config.k), {}
 
     def trial(m, out, pi_rng, data_rng) -> tuple[int, ...]:
         """Draw a trial's hidden set, and its m observations into `out`."""
         if enumerated:
             j = int(pi_rng.integers(len(pis)))
-            pi, model = pis[j], models[j]
+            pi = pis[j]
+            if j not in models:
+                game = influence_game(config.n, config.k, pi, space.counts)
+                models[j] = MixtureModel(space, game.psne, q)
+            model = models[j]
         else:
             chosen = pi_rng.choice(config.n, size=config.k, replace=False) + 1
             pi = tuple(sorted(int(i) for i in chosen))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -24,6 +25,9 @@ from .games import ActionSpace, PolymatrixGame, PsneSet, _integer, bounded_joint
 from .mixture import Dataset, check_joint_size
 
 RESULT_COLUMNS = ("m", "metric", "value", "stderr", "trials")
+# an action cell: ASCII digits after an optional sign, padded by ASCII
+# whitespace at most; `int` alone also reads "1_0" as 10 and "\u0661" as 1
+_ACTION_CELL = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -157,10 +161,9 @@ def read_dataset(path: str, space: ActionSpace | None = None) -> Dataset:
             where = f"{path}:{reader.line_num}"
             if len(row) != n:
                 raise InputError(f"{where}: expected {n} cells, got {len(row)}")
-            try:
-                actions = [int(cell) for cell in row]
-            except ValueError:
-                raise InputError(f"{where}: non-integer action in {row}") from None
+            if not all(map(_ACTION_CELL.fullmatch, row)):
+                raise InputError(f"{where}: non-integer action in {row}")
+            actions = [int(cell) for cell in row]
             for p, a in enumerate(actions, start=1):
                 limit = space.counts[p - 1] if space is not None else None
                 if a < 1 or (limit is not None and a > limit):

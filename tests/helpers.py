@@ -481,6 +481,14 @@ def per_row_dataset_text(data):
     return "\n".join(lines) + "\n"
 
 
+def plain_integer(cell):
+    """Whether a CSV cell is ASCII digits after at most one sign, padded by
+    ASCII whitespace at most: the only cells `read_dataset` reads as actions."""
+    cell = cell.strip(" \t\n\r\f\v")
+    digits = cell[1:] if cell[:1] in ("+", "-") else cell
+    return digits != "" and all(c in "0123456789" for c in digits)
+
+
 def per_row_read_dataset(path, space=None):
     """The dataset CSV parsed and range-checked row by row, with no cache:
     the result and the first error `read_dataset` must reproduce."""
@@ -502,10 +510,9 @@ def per_row_read_dataset(path, space=None):
             lineno = reader.line_num
             if len(row) != n:
                 raise InputError(f"{path}:{lineno}: expected {n} cells, got {len(row)}")
-            try:
-                actions = [int(cell) for cell in row]
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-integer action in {row}") from None
+            if not all(map(plain_integer, row)):
+                raise InputError(f"{path}:{lineno}: non-integer action in {row}")
+            actions = [int(cell) for cell in row]
             for p, a in enumerate(actions, start=1):
                 limit = space.counts[p - 1] if space is not None else None
                 if a < 1 or (limit is not None and a > limit):

@@ -373,7 +373,7 @@ HUGE_FAMILY = {"actions": [2, 99999999999999999999], "candidates": [[0]]}
 WIDE_FAMILY = {"actions": [2] * 2000, "candidates": [[0]]}
 # a joint space within int64 but past the fit histogram's ceiling
 FORTY_FAMILY = {"actions": [2] * 40, "candidates": [[0]]}
-# family files whose values are not all integers
+# family files whose values are not all integers, and one over (12, 2)
 FAMILY_FILES = {
     "family": HUGE_FAMILY,
     "wide": WIDE_FAMILY,
@@ -381,14 +381,18 @@ FAMILY_FILES = {
     "half": {"actions": [2, 2], "candidates": [[0.5]]},
     "true": {"actions": [2, 2], "candidates": [[True]]},
     "text": {"actions": "22", "candidates": [[0]]},
+    "twelve": {"actions": [12, 2], "candidates": [[0]]},
 }
 
-# one-row datasets over 2 and over 40 players
+# one-row datasets over 2 and over 40 players, and two whose first cell
+# `int` would read as an action (10 and 1)
 DATA_FILES = {
     "data": "player_1,player_2\n1,1\n",
     "data40": "\n".join(
         [",".join(f"player_{p}" for p in range(1, 41)), ",".join(["1"] * 40), ""]
     ),
+    "underscore": "player_1,player_2\n1_0,1\n",
+    "arabic": "player_1,player_2\n\u0661,1\n",
 }
 
 # malformed inputs, each cheap in time and memory: argv, exit code and a
@@ -437,6 +441,11 @@ MALFORMED = {
         4,
         "int64 indexing reached",
     ),
+    "fano-n25": (
+        ["experiment", "--kind", "fano", "--n", "25", "--k", "1", "--out", "{out}"],
+        4,
+        "PSNE sweep reached 33554432 joint actions, ceiling is 16777216",
+    ),
     "sample-past-int64": (
         ["sample", "--family", "{family}", "--psne", "0", "--q", "0.5", "--m", "1",
          "--out", "{out}"],
@@ -473,6 +482,16 @@ MALFORMED = {
         ["fit", "--family", "{text}", "--data", "{data}", "--out", "{out}"],
         2,
         "malformed family file {text}: action count must be an integer, got '2'",
+    ),
+    "fit-data-underscore": (
+        ["fit", "--family", "{twelve}", "--data", "{underscore}", "--out", "{out}"],
+        2,
+        "{underscore}:2: non-integer action in ['1_0', '1']",
+    ),
+    "fit-data-arabic-indic-digit": (
+        ["fit", "--family", "{twelve}", "--data", "{arabic}", "--out", "{out}"],
+        2,
+        "{arabic}:2: non-integer action in ['\u0661', '1']",
     ),
     "experiment-grid-nan": (
         ["experiment", "--kind", "recovery", "--grid", "nan", "--out", "{out}"],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from psne_learn import (
     run_recovery,
 )
 from psne_learn import experiments
+from psne_learn.influence import all_influence_sets, influence_game
 from psne_learn.experiments import (
     ENUMERATE_PI_LIMIT,
     SEED_CHUNK,
@@ -93,10 +95,13 @@ class TestConfigValidation:
             ({"trials": True}, "trials must be an integer, got True"),
             ({"delta": None}, "delta must be a real number, got None"),
             ({"kind": "fano", "fano_q": "0.1"}, "fano_q must be a real number, got '0.1'"),
+            ({"grid": (0.0, "x")}, "grid value must be a real number, got 'x'"),
+            ({"grid": (True,)}, "grid value must be a real number, got True"),
         ],
         ids=[
             "float-seed", "float-trials", "float-m", "float-n", "float-k",
             "str-q-star", "bool-seed", "bool-trials", "none-delta", "str-fano-q",
+            "str-grid", "bool-grid",
         ],
     )
     def test_field_types_checked(self, fields, message):
@@ -121,6 +126,40 @@ class TestConfigValidation:
         )
         assert config == plain and type(config.seed) is int
         assert run_fano(config) == run_fano(plain)
+
+    @pytest.mark.parametrize(
+        "fields, stored",
+        [
+            ({"action_sizes": np.array([2, 2, 2])}, (2, 2, 2)),
+            ({"truth_psne": np.array([0, 7])}, (0, 7)),
+            ({"grid": (np.int64(-1), np.int64(0), np.int64(1))}, (-1, 0, 1)),
+            ({"grid": np.array([-1.0, 0.0, 1.0])}, (-1.0, 0.0, 1.0)),
+            ({"delta": np.float32(0.1)}, 0.10000000149011612),
+            ({"q_star": np.float32(0.7)}, 0.699999988079071),
+        ],
+        ids=["action-sizes", "truth-psne", "grid-int64", "grid-float64", "delta", "q-star"],
+    )
+    def test_numpy_values_stored_as_python_numbers(self, fields, stored):
+        # each of these once ran every trial, then failed to write its meta
+        config = ExperimentConfig(kind="recovery", n=3, k=2, m_schedule=(5,), trials=2, **fields)
+        (name,) = fields
+        # repr tells np.int64(2) from 2 and np.float32(0.1) from its float
+        assert repr(getattr(config, name)) == repr(stored)
+        assert run_recovery(config).meta["config"][name] == json.loads(json.dumps(stored))
+
+    def test_numpy_fano_q_stored_as_float(self):
+        config = ExperimentConfig(kind="fano", n=4, k=1, m_schedule=(0,), trials=1,
+                                  fano_q=np.float32(0.25))
+        assert type(config.fano_q) is float
+        assert run_fano(config).meta["config"]["fano_q"] == 0.25
+
+    def test_python_numbers_keep_their_form(self):
+        # an integer grid writes [-1, 0, 1] in the meta, as it always did
+        config = ExperimentConfig(kind="recovery", n=3, k=2, grid=(-1, 0, 1))
+        assert config.grid == (-1, 0, 1) and all(type(v) is int for v in config.grid)
+        assert dataclasses.asdict(ExperimentConfig(kind="gap")) == dataclasses.asdict(
+            ExperimentConfig(kind="gap", grid=np.array([-1.0, 0.0, 1.0]))
+        )
 
     def test_sizes_default_to_binary(self):
         config = ExperimentConfig(kind="fano", n=5, k=1, m_schedule=(0,), trials=1)
@@ -316,6 +355,52 @@ class TestFanoPins:
             (9000, "map_error", 0.0, 0.0, 8),
             (9000, "fano_bound", 0.0, 0.0, 8),
         ]
+
+
+class TestFanoBuildsDrawnGames:
+    """An enumerated run builds and verifies the game of each pi its trials
+    draw, once, and never the game of a pi no trial draws."""
+
+    @staticmethod
+    def drawn(config):
+        """The pi indices the run's trials draw, each from the first of its
+        trial's numpy-seeded streams."""
+        count = math.comb(config.n, config.k)
+        return {
+            int(pi_rng.integers(count))
+            for mi in range(len(config.m_schedule))
+            for pi_rng, _ in trial_rngs(config.seed, mi, config.trials, 2)
+        }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(kind="fano", n=16, k=2, m_schedule=(0, 50), trials=3, seed=4),
+            ExperimentConfig(kind="fano", n=4, k=1, m_schedule=(0, 3), trials=6, seed=5),
+            ExperimentConfig(
+                kind="fano", n=5, k=2, action_sizes=(3, 2, 2, 3, 2),
+                m_schedule=(0, 5, 40, 200), trials=30, seed=7,
+            ),
+        ],
+        ids=["n16k2-few-trials", "n4k1", "non-binary"],
+    )
+    def test_builds_each_drawn_pi_once(self, monkeypatch, config):
+        built = []
+
+        def counted(n, k, pi, action_sizes=None):
+            built.append(tuple(pi))
+            return influence_game(n, k, pi, action_sizes)
+
+        monkeypatch.setattr(experiments, "influence_game", counted)
+        table = run_fano(config)
+        assert table.meta["derived"]["enumerated"] is True
+        pis = all_influence_sets(config.n, config.k)
+        drawn = self.drawn(config)
+        assert len(built) == len(drawn) == len(set(built))
+        assert set(built) == {pis[j] for j in drawn}
+        if config.n == 16:
+            # at most 6 of C(16, 2) = 120 sets are drawn, and only they are built
+            assert len(built) <= 6 < len(pis)
 
 
 class TestTrialSeeding:

@@ -187,6 +187,12 @@ class TestDatasetOracles:
 MALFORMED = {
     "arity": ("1,2,3\n1,2\n", 3, 3),
     "non-integer": ("1,2,3\n1,x,3\n", 3, 3),
+    "underscore": ("1,2,3\n1,2,1_0\n", 3, 3),
+    "arabic-indic-digit": ("1,2,3\n1,2,\u0661\n", 3, 3),
+    "padded": ("1,2,3\n1, 2\t,3\n", None, None),
+    "non-ascii-space": ("1,2,3\n1,\u00a02,3\n", 3, 3),
+    "sign-only": ("1,2,3\n1,+,3\n", 3, 3),
+    "plus-sign": ("1,2,3\n+1,2,3\n", None, None),
     "zero": ("1,2,3\n0,1,1\n", 3, 3),
     "negative": ("1,2,3\n1,1,-4\n", 3, 3),
     "above-space": ("1,2,3\n1,2,13\n", 3, None),
