@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, check_capacity
 from .games import JOINT_CEILING, ActionSpace, PsneSet, _best_response_grid
-from .games import _int64_array, bounded_joint_size
+from .games import _int64_array, _real, bounded_joint_size
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, mixture_interval
 from .mixture import nll_scale
 
@@ -129,7 +129,9 @@ class FitResult:
 
 
 def _normalize_grid(grid) -> tuple[float, ...]:
-    vals = tuple(sorted({float(v) for v in grid}))
+    """The distinct grid values, ascending, as floats; each must be a real
+    number by the rule `ExperimentConfig` reads its grid with."""
+    vals = tuple(sorted({float(_real(v, "grid value")) for v in grid}))
     if not vals:
         raise InputError("grid must contain at least one value")
     if any(not math.isfinite(v) for v in vals):
@@ -329,14 +331,22 @@ def _check_fit(family: CandidateFamily, space=None, source: str = "") -> None:
 
 
 def _in_set(family: CandidateFamily, values: np.ndarray) -> np.ndarray:
-    """Per-candidate sum of an integer or bool array aligned with
-    `family.indices`, exact in int64."""
-    return np.add.reduceat(values, family.offsets[:-1], dtype=np.int64).astype(float)
+    """Per-candidate sums, along the last axis, of an integer or bool array
+    aligned there with `family.indices`, exact in int64."""
+    return np.add.reduceat(values, family.offsets[:-1], axis=-1, dtype=np.int64).astype(float)
 
 
-def _scan(family: CandidateFamily, inside, outside, total) -> FitResult:
-    """Argmin of the average scaled NLL, with each candidate's q in closed
-    form, given the weight falling inside and outside each set."""
+def _overlaps(family: CandidateFamily, psne: PsneSet) -> np.ndarray:
+    """|candidate & psne| for every candidate, in family order."""
+    return _in_set(family, np.isin(family.indices, psne.as_array()))
+
+
+def _scan(family: CandidateFamily, inside, outside, total):
+    """Per row of (B, len(family)) weights inside and outside each set, of
+    `total` in all (a scalar or a (B, 1) column), the argmin of the average
+    scaled NLL with each candidate's q in closed form.  Returns (best,
+    q_hat, objective, clamped), one entry per row; the first minimum wins,
+    so family order breaks ties."""
     size = family.space.joint_size
     sizes = family.sizes.astype(float)
     q, clamped = _clamp_q(inside / total, sizes, float(size))
@@ -344,10 +354,23 @@ def _scan(family: CandidateFamily, inside, outside, total) -> FitResult:
     nll_in = (np.log(sizes) - np.log(q)) / scale
     nll_out = (np.log(size - sizes) - np.log1p(-q)) / scale
     objective = (inside * nll_in + outside * nll_out) / total
-    best = int(np.argmin(objective))  # the first minimum: family order breaks ties
-    return FitResult(
-        family[best], float(q[best]), float(objective[best]), bool(clamped[best])
-    )
+    best = objective.argmin(axis=1)
+    rows = np.arange(len(best))
+    return best, q[rows, best], objective[rows, best], clamped[rows, best]
+
+
+def _fit_rows(family: CandidateFamily, counts: np.ndarray) -> tuple:
+    """`_scan` of (B, |A|) int64 histograms, one per row, each totalling
+    below 2**63: one gather of the counts at the family's indices."""
+    inside = _in_set(family, counts[:, family.indices])
+    total = counts.sum(axis=1, keepdims=True).astype(float)
+    return _scan(family, inside, total - inside, total)
+
+
+def _result(family: CandidateFamily, scan) -> FitResult:
+    """The FitResult of a one-row `_scan`."""
+    (best,), (q_hat,), (objective,), (clamped,) = scan
+    return FitResult(family[int(best)], float(q_hat), float(objective), bool(clamped))
 
 
 def fit_counts(family: CandidateFamily, counts) -> FitResult:
@@ -355,7 +378,7 @@ def fit_counts(family: CandidateFamily, counts) -> FitResult:
     counts[x] observations of joint index x, m = counts.sum() in all.
     The counts carry only their length, so that is all that is checked
     against the family's space.  The data enter only through per-candidate
-    in-set counts: one gather of the counts at the family's indices."""
+    in-set counts: `_fit_rows` of the one histogram."""
     _check_fit(family)
     size = family.space.joint_size
     hist = _int64_array(counts, "observation count")
@@ -373,8 +396,7 @@ def fit_counts(family: CandidateFamily, counts) -> FitResult:
         raise InputError(f"observation counts total {m}, past int64")
     if m == 0:
         raise InputError("cannot fit on an empty dataset")
-    inside = _in_set(family, hist[family.indices])
-    return _scan(family, inside, m - inside, float(m))
+    return _result(family, _fit_rows(family, hist[None]))
 
 
 def fit_mle(family: CandidateFamily, data: Dataset) -> FitResult:
@@ -395,6 +417,5 @@ def population_mle(family: CandidateFamily, truth: MixtureModel) -> FitResult:
     minimizer.
     """
     _check_fit(family, truth.space, "truth model")
-    overlap = _in_set(family, np.isin(family.indices, truth.psne.as_array()))
-    mass = truth.mass(overlap, family.sizes.astype(float))
-    return _scan(family, mass, 1.0 - mass, 1.0)
+    mass = truth.mass(_overlaps(family, truth.psne), family.sizes.astype(float))[None]
+    return _result(family, _scan(family, mass, 1.0 - mass, 1.0))

@@ -21,9 +21,9 @@ trial's Generator is bit-identical to `default_rng(sub_seed)`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -32,11 +32,11 @@ import numpy as np
 from . import __version__
 from .bounds import fano_error_lower_bound
 from .errors import ConfigError, InputError
-from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets, fit_counts
-from .estimator import _normalize_grid, _class_param_problems
-from .games import ActionSpace, PsneSet, _integer, bounded_joint_size, encode_joint_action
+from .estimator import DEFAULT_GRID, CandidateFamily, enumerate_psne_sets
+from .estimator import _class_param_problems, _fit_rows, _normalize_grid, _overlaps
+from .games import ActionSpace, PsneSet, _integer, _real, bounded_joint_size, encode_joint_action
 from .influence import _decode_rows, all_influence_sets, influence_game, influence_psne
-from .mixture import SAMPLE_BLOCK, MixtureModel, check_joint_size, expected_nll
+from .mixture import SAMPLE_BLOCK, MixtureModel, _blocks, check_joint_size, expected_nll
 from .mixture import MixtureInterval, mixture_interval
 
 KINDS = ("recovery", "gap", "fano")
@@ -158,15 +158,6 @@ class ResultTable:
         return [(r.m, r.value) for r in self.rows if r.metric == metric]
 
 
-def _real(value, what: str) -> int | float:
-    """`value` as a Python int if it is an integer, else as a float, so an
-    integer grid value keeps its JSON form; anything but a real number (a
-    bool, a str) is an InputError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{what} must be a real number, got {value!r}")
-    return int(value) if isinstance(value, numbers.Integral) else float(value)
-
-
 def _integers(values) -> tuple[int, ...] | None:
     """`values` as Python ints, or None if one of them is not an integer."""
     try:
@@ -194,38 +185,44 @@ def thread_count() -> int:
 SEED_CHUNK = 1 << 10  # trials per seeding pass; a power of two, so no pass straddles 2**32
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for a
-# pool of 4 uint32 words; the running hash constants step as Python ints
+# pool of 4 uint32 words
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix, while mixing entropy
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _wrap(value):
+    """`value` mod 2**32: a Python int is masked, uint32 arrays wrap as is."""
+    return value & _MASK32 if isinstance(value, int) else value
 
 
 def _hasher(const: int, mult: int):
-    """numpy's hashmix over uint32 arrays: xor the running constant, step
-    it, multiply by the new one, then xorshift by 16."""
+    """numpy's hashmix over uint32 words, each a Python int or a uint32
+    array: xor the running constant, step it, multiply by the new one,
+    then xorshift by 16."""
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = const * mult & _MASK32
-        value = value * np.uint32(const)
+        value = _wrap(value * const)
         return value ^ value >> 16
 
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
+def _mix(x, y):
+    result = _wrap(_wrap(_MIX_L * x) - _wrap(_MIX_R * y))
     return result ^ result >> 16
 
 
-def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """numpy's SeedSequence.mix_entropy: entropy columns, first word first,
-    into the 4-word pool; columns broadcast, so shared words cost one."""
+def _pool(entropy: list) -> list:
+    """numpy's SeedSequence.mix_entropy: entropy words, first word first,
+    into the 4-word pool.  A word shared by every trial is a Python int,
+    mixed once; a uint32 column holds one word per trial."""
     hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -236,7 +233,7 @@ def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return pool
 
 
-def _state(pool: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+def _state(pool: list, n_words: int) -> list:
     """numpy's SeedSequence.generate_state(n_words), one column per word."""
     hashmix = _hasher(_INIT_B, _MULT_B)
     return [hashmix(pool[i % 4]) for i in range(n_words)]
@@ -253,12 +250,11 @@ def _seed_words(master: int, m_index: int, lo: int, hi: int, streams: int) -> np
     one side of 2**32, where trial indices take a second word."""
     master_words = _words(master)
     master_words += [0] * (4 - len(master_words))  # a spawned sequence pads to the pool
-    prefix = [np.array([w], dtype=np.uint32) for w in master_words + [1] + _words(m_index)]
     index = np.arange(lo, hi, dtype=np.uint64)
     trial = [index.astype(np.uint32)]  # the low words
     if lo >> 32:
         trial.append((index >> 32).astype(np.uint32))
-    state = _state(_pool(prefix + trial), 2 * streams)
+    state = _state(_pool(master_words + [1] + _words(m_index) + trial), 2 * streams)
     # sub-seed w is (state[2w] << 32) | state[2w + 1]
     low, high = (np.stack(state[i::2], axis=1).ravel() for i in (1, 0))
     return _pcg64_words(low, high).reshape(hi - lo, streams, 4)
@@ -300,9 +296,18 @@ def _trial_rngs(master: int, m_index: int, trials: int, streams: int):
         yield from _generators(_seed_words(master, m_index, lo, hi, streams))
 
 
+def _trial_blocks(rngs, width: int):
+    """The per-trial items of `rngs`, in lists of SAMPLE_BLOCK // width
+    trials (at least one), so that a block's arrays of `width` elements
+    per trial stay within one budget whatever the trial count."""
+    rows = max(1, SAMPLE_BLOCK // max(width, 1))
+    while block := list(itertools.islice(rngs, rows)):
+        yield block
+
+
 def _freq_row(m: int, metric: str, hits: Sequence[bool]) -> ResultRow:
     trials = len(hits)
-    f = sum(bool(h) for h in hits) / trials
+    f = int(np.count_nonzero(hits)) / trials
     return ResultRow(m, metric, f, math.sqrt(f * (1.0 - f) / trials), trials)
 
 
@@ -345,17 +350,25 @@ def _table(rows, meta: dict) -> ResultTable:
 def _fit_trials(config: ExperimentConfig):
     """The sample-and-fit loop shared by the recovery and gap harnesses.
 
-    Builds the family, chooses the truth, and fits every trial's draw from
-    its tally of joint indices, never materializing the draw itself.
-    Returns the family, the truth, one (m, fits) pair per sample size with
-    the fits in trial-index order, and the metadata both harnesses write.
+    Builds the family, chooses the truth, and fits the trials a block at a
+    time from their tallies of joint indices, never materializing a draw:
+    a block's counts (trials x |A|), their gather at the family's indices
+    and its scan share SAMPLE_BLOCK with its draws.  Returns the family,
+    the truth, one (m, fits) pair per sample size, fits being the
+    `estimator._scan` arrays (best, q_hat, objective, clamped) over the
+    trials in index order, and the metadata both harnesses write.
     """
     family = enumerate_psne_sets(config.n, config.k, config.action_sizes, config.grid)
     truth = _choose_truth(config, family)
+    width = family.space.joint_size + family.indices.size
     trials = []
     for mi, m in enumerate(config.m_schedule):
-        rngs = _trial_rngs(config.seed, mi, config.trials, 1)
-        trials.append((m, [fit_counts(family, truth.tally(m, rng)) for (rng,) in rngs]))
+        rngs = (rng for (rng,) in _trial_rngs(config.seed, mi, config.trials, 1))
+        scans = [
+            _fit_rows(family, truth._tallies(block, m))
+            for block in _trial_blocks(rngs, m + width)
+        ]
+        trials.append((m, tuple(np.concatenate(part) for part in zip(*scans))))
     meta = _base_meta(config)
     meta["derived"] = {
         "family_size": len(family),
@@ -366,17 +379,23 @@ def _fit_trials(config: ExperimentConfig):
 
 
 def run_recovery(config: ExperimentConfig) -> ResultTable:
-    """Frequency of superset / exact / subset PSNE recovery per sample size."""
+    """Frequency of superset / exact / subset PSNE recovery per sample size,
+    read per trial from flags computed once per candidate."""
     if config.kind != "recovery":
         raise ConfigError(f"run_recovery got a {config.kind!r} config")
-    _, truth, trials, meta = _fit_trials(config)
-    true = truth.psne.members
-    rows = []
-    for m, fits in trials:
-        hats = [fit.psne.members for fit in fits]
-        rows.append(_freq_row(m, "superset", [true <= h for h in hats]))
-        rows.append(_freq_row(m, "exact", [h == true for h in hats]))
-        rows.append(_freq_row(m, "subset", [h <= true for h in hats]))
+    family, truth, trials, meta = _fit_trials(config)
+    r, sizes = len(truth.psne), family.sizes
+    overlap = _overlaps(family, truth.psne)
+    flags = {
+        "superset": overlap == r,
+        "exact": (overlap == r) & (sizes == r),
+        "subset": overlap == sizes,
+    }
+    rows = [
+        _freq_row(m, metric, hits[best])
+        for m, (best, *_) in trials
+        for metric, hits in flags.items()
+    ]
     return _table(rows, meta)
 
 
@@ -392,12 +411,12 @@ def run_generalization_gap(config: ExperimentConfig) -> ResultTable:
     baseline = expected_nll(truth, truth)
     rows = []
     level = 1.0 - config.delta
-    for m, fits in trials:
+    for m, (best, q_hat, *_) in trials:
+        chosen = {b: family[b] for b in set(best.tolist())}
         gaps = np.asarray(
             [
-                expected_nll(MixtureModel(family.space, fit.psne, fit.q_hat), truth)
-                - baseline
-                for fit in fits
+                expected_nll(MixtureModel(family.space, chosen[b], q), truth) - baseline
+                for b, q in zip(best.tolist(), q_hat.tolist())
             ]
         )
         mean = float(gaps.mean())
@@ -420,9 +439,11 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     The hidden player set is drawn uniformly per trial: from the full
     enumeration when it is small, otherwise by uniform sampling.  An
     enumerated pi's game is built and verified by `influence_game` on its
-    first draw, and a pi that no trial draws is never built.  Trials are
-    drawn in index order, in blocks of at most SAMPLE_BLOCK // m that
-    share one (trials x m) array of draws and one pass of the row decoder.
+    first draw, and a pi that no trial draws is never built.  Trials run in
+    index order, in blocks of at most SAMPLE_BLOCK // m: one `_blocks` call
+    draws a block's ranks, row t maps through trial t's one equilibrium x_t
+    (an off-signal rank c to c + (c >= x_t), a signal draw to x_t), and one
+    pass of the row decoder decodes the block.
     """
     if config.kind != "fano":
         raise ConfigError(f"run_fano got a {config.kind!r} config")
@@ -432,36 +453,34 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     population = math.comb(config.n, config.k)
     enumerated = population <= ENUMERATE_PI_LIMIT
     if enumerated:
-        pis, models = all_influence_sets(config.n, config.k), {}
-
-    def trial(m, out, pi_rng, data_rng) -> tuple[int, ...]:
-        """Draw a trial's hidden set, and its m observations into `out`."""
-        if enumerated:
-            j = int(pi_rng.integers(len(pis)))
-            pi = pis[j]
-            if j not in models:
-                game = influence_game(config.n, config.k, pi, space.counts)
-                models[j] = MixtureModel(space, game.psne, q)
-            model = models[j]
-        else:
-            chosen = pi_rng.choice(config.n, size=config.k, replace=False) + 1
-            pi = tuple(sorted(int(i) for i in chosen))
-            index = encode_joint_action(space, influence_psne(pi, config.n))
-            model = MixtureModel(space, PsneSet([index]), q)
-        for _ in model._blocks(m, data_rng, out=out):
-            pass
-        return pi
+        pis, equilibria = all_influence_sets(config.n, config.k), {}
 
     rows = []
     for mi, m in enumerate(config.m_schedule):
-        # a block holds at most max(m, SAMPLE_BLOCK) draws
-        block = max(1, SAMPLE_BLOCK // max(m, 1))
-        errors, rngs = [], _trial_rngs(config.seed, mi, config.trials, 2)
-        for lo in range(0, config.trials, block):
-            draws = np.empty((min(block, config.trials - lo), m), dtype=np.int64)
-            pis_drawn = [trial(m, out, *pair) for out, pair in zip(draws, rngs)]
+        errors = []
+        for block in _trial_blocks(_trial_rngs(config.seed, mi, config.trials, 2), m):
+            drawn, hidden = [], []
+            for pi_rng, _ in block:
+                if enumerated:
+                    j = int(pi_rng.integers(len(pis)))
+                    if j not in equilibria:
+                        game = influence_game(config.n, config.k, pis[j], space.counts)
+                        equilibria[j] = game.psne_index
+                    pi, index = pis[j], equilibria[j]
+                else:
+                    chosen = pi_rng.choice(config.n, size=config.k, replace=False) + 1
+                    pi = tuple(sorted(int(i) for i in chosen))
+                    index = encode_joint_action(space, influence_psne(pi, config.n))
+                drawn.append(pi)
+                hidden.append(index)
+            x = np.array(hidden, dtype=np.int64)[:, None]
+            draws = np.empty((len(block), m), dtype=np.int64)
+            for lo, s, c in _blocks([data_rng for _, data_rng in block], m, q, 1, size):
+                out = draws[:, lo : lo + c.shape[1]]
+                np.add(c, c >= x, out=out)
+                np.copyto(out, x, where=s)
             decoded = _decode_rows(space, draws, config.k)
-            errors += [d != pi for d, pi in zip(decoded, pis_drawn)]
+            errors += [d != pi for d, pi in zip(decoded, drawn)]
         rows.append(_freq_row(m, "map_error", errors))
         bound = fano_error_lower_bound(m, config.n, config.k, size, q)
         rows.append(ResultRow(m, "fano_bound", bound, 0.0, config.trials))

@@ -21,6 +21,7 @@ so player 1 is the slowest axis (mixed radix, most significant digit).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +40,15 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _real(value, what: str) -> int | float:
+    """`value` as a Python int if it is an integer, else as a float, so an
+    integer grid value keeps its JSON form; anything but a real number (a
+    bool, a str) is an InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def _int64_array(values, what: str) -> np.ndarray:

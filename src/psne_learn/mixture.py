@@ -14,12 +14,14 @@ by c = ln(2|A|^2) so each per-observation loss lands in [0, 1].
 All log-likelihood arithmetic happens on set cardinalities in log space;
 only the q interval's float endpoints need |A| within float range.
 
-One block generator (`MixtureModel._blocks`) draws a sample SAMPLE_BLOCK
-joint indices at a time.  `sample` writes its blocks straight into a
-dataset's index array, and `experiments.run_fano` into one row of its
-decode block; `tally` adds each block's histogram into counts per joint
-index, which is all the MLE fit reads.  A tally holds no
-m-long index array, only the m-byte signal mask of the first pass.
+One sampler, `_blocks`, draws a block of trials at a time, each trial's
+observations from its own Generator: masking and ranking run once on the
+block's (trials x m) arrays, and a draw longer than SAMPLE_BLOCK is one
+trial streamed in chunks of SAMPLE_BLOCK.  `sample` maps its one row's
+ranks through the PSNE set into a dataset's index array, `tally` and the
+trial fits count each row's ranks, and `experiments.run_fano` maps each
+row through its trial's one equilibrium.  A tally holds no m-long index
+array, only the m-byte signal mask of the first pass.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .errors import InputError, check_capacity
 from .games import INDEX_CEILING  # re-exported
 from .games import JOINT_CEILING, ActionSpace, PsneSet, _integer
 
-SAMPLE_BLOCK = 1 << 13  # doubles per block of the sampler's reused uniform buffer
+# elements a block of trials holds per trial-wide array (draws, counts, fit
+# scan), and the chunk a longer draw streams in
+SAMPLE_BLOCK = 1 << 13
 
 
 def nll_scale(space: ActionSpace) -> float:
@@ -95,6 +99,43 @@ def check_psne_set(psne: PsneSet, joint_size: int) -> MixtureInterval:
     if psne.indices[-1] >= joint_size:
         raise InputError(f"PSNE set index {psne.indices[-1]} outside 0..{joint_size - 1}")
     return interval
+
+
+def _blocks(rngs, m: int, q: float, r: int, size: int):
+    """The draws of m observations from a mixture of q, |NE| = r and
+    |A| = size, one row per Generator in `rngs` (a block of trials), as a
+    generator of column chunks (lo, signal, rank): bool and int64 arrays of
+    shape (len(rngs), b) for columns lo..lo+b-1 of every row.  Each row is
+    a pure function of its Generator's state, whatever the block.
+
+    A row consumes 2m uniforms from its own stream, in two passes of at
+    most SAMPLE_BLOCK doubles: the first m become the m-byte signal mask
+    (u < q), the next m are scaled by |A| - |NE| (noise) or |NE| (signal)
+    and truncated to a rank within the chosen set.  Successive
+    `random(out=...)` calls yield exactly the doubles of one call, so the
+    ranks depend on neither the block nor the chunk size.  Rows of at most
+    SAMPLE_BLOCK draws come in one chunk; a longer draw streams.
+    """
+    width = min(m, SAMPLE_BLOCK)
+    signal = np.empty((len(rngs), m), dtype=bool)
+    buf = np.empty((len(rngs), width))
+    scale = np.array([size - r, r], dtype=float)
+    chunks = range(0, m, max(width, 1))
+
+    def uniforms(b: int) -> np.ndarray:
+        u = buf[:, :b]
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        return u
+
+    for lo in chunks:
+        s = signal[:, lo : lo + width]
+        np.less(uniforms(s.shape[1]), q, out=s)
+    for lo in chunks:
+        s = signal[:, lo : lo + width]
+        u = uniforms(s.shape[1])
+        u *= scale.take(s, mode="clip")
+        yield lo, s, u.astype(np.int64)
 
 
 class Dataset:
@@ -181,91 +222,73 @@ class MixtureModel:
         """-ln p(x) / ln(2|A|^2), always within [0, 1]."""
         return self._membership(index, self.in_set_nll, self.out_set_nll)
 
-    def _blocks(self, m: int, seed, out: np.ndarray | None = None):
-        """The draw of m observations, as a generator of each block's joint
-        indices; bit-identical for identical (m, seed).  The seed is a
-        nonnegative int, or a Generator to draw from (as `default_rng`
-        takes it), which then equals `default_rng` of its int seed.
-
-        Each sample consumes two uniforms from one generator stream, taken
-        in two passes of SAMPLE_BLOCK doubles through one reused buffer:
-        the first m uniforms become an m-byte signal mask (u < q), the next
-        m are scaled by |A| - |NE| (noise) or |NE| (signal) and truncated to
-        a rank within the chosen set.  When |A| <= m, one table of the
-        complement then the PSNE set maps rank + signal * (|A| - |NE|) to
-        the joint index; otherwise a complement rank resolves through a
-        sorted-rank lookup and a PSNE rank through the set.  Successive
-        block draws are exactly the doubles of one m-draw, and both maps
-        are exact integer lookups of the same ranks, so the indices depend
-        on neither the block size nor the path taken.
-
-        Blocks are written into consecutive slices of `out` when it is
-        given, else into one reused buffer that the next block overwrites.
-        Not itself a generator, so a bad m or seed and the int64 ceiling
-        raise on the call, before anything is allocated or drawn.
-        """
+    def _generator(self, m: int, seed):
+        """The Generator a draw of m observations reads: `default_rng(seed)`
+        of a nonnegative int seed, or the Generator given as the seed, which
+        then draws as `default_rng` of its int seed would.  A bad m or seed
+        and the int64 ceiling raise here, before anything is drawn."""
         if _integer(m, "sample count") < 0:
             raise InputError("sample count must be nonnegative")
         if not isinstance(seed, np.random.Generator) and _integer(seed, "seed") < 0:
             raise InputError(f"seed must be nonnegative, got {seed}")
         self.space._check_int64()
-
-        def blocks():
-            size = self.space.joint_size
-            rng = np.random.default_rng(seed)
-            ne = self.psne.as_array()
-            r = ne.size
-            buf = np.empty(min(m, SAMPLE_BLOCK))
-            rank = np.empty(buf.size, dtype=np.int64)
-            block = np.empty(buf.size, dtype=np.int64) if out is None else None
-            signal = np.empty(m, dtype=bool)
-            for lo in range(0, m, SAMPLE_BLOCK):
-                s = signal[lo : lo + SAMPLE_BLOCK]
-                np.less(rng.random(out=buf[: s.size]), self.q, out=s)
-            scale = np.array([size - r, r], dtype=float)
-            if size <= m:
-                table = np.concatenate([np.delete(np.arange(size), ne), ne])
-            else:
-                # the complement rank c is joint index c plus the PSNE indices it skips
-                shifted = ne - np.arange(r, dtype=np.int64)
-            for lo in range(0, m, SAMPLE_BLOCK):
-                s = signal[lo : lo + SAMPLE_BLOCK]
-                idx = block[: s.size] if out is None else out[lo : lo + s.size]
-                u, k = rng.random(out=buf[: s.size]), rank[: s.size]
-                u *= scale.take(s, mode="clip")
-                np.copyto(k, u, casting="unsafe")
-                if size <= m:
-                    k += s * (size - r)
-                    table.take(k, out=idx, mode="clip")
-                else:
-                    # signal draws add a stray offset here and are overwritten next
-                    np.add(k, shifted.searchsorted(k, side="right"), out=idx)
-                    np.copyto(idx, ne.take(k, mode="clip"), where=s)
-                yield idx
-
-        return blocks()
+        return np.random.default_rng(seed)
 
     def sample(self, m: int, seed) -> Dataset:
-        """Draw m observations: the blocks of `_blocks` (see there, also for
-        the seed), written straight into the dataset's index array."""
-        # a negative m, or a bad seed, raises in `_blocks`
-        idx = np.empty(max(_integer(m, "sample count"), 0), dtype=np.int64)
-        for _ in self._blocks(m, seed, out=idx):
-            pass
+        """Draw m observations: the one row of `_blocks` (see there; the seed
+        as `_generator` reads it), mapped straight into the dataset's index
+        array.  When |A| <= m, one table of the complement then the PSNE
+        set maps key rank + signal * (|A| - |NE|) to the joint index;
+        otherwise a complement rank resolves through a sorted-rank lookup
+        and a PSNE rank through the set.  Both maps are exact integer
+        lookups of the same ranks, so the indices do not depend on the path."""
+        rng = self._generator(m, seed)
+        size, ne = self.space.joint_size, self.psne.as_array()
+        r = ne.size
+        table = np.concatenate([np.delete(np.arange(size), ne), ne]) if size <= m else None
+        # the complement rank c is joint index c plus the PSNE indices it skips
+        shifted = ne - np.arange(r, dtype=np.int64)
+        idx = np.empty(m, dtype=np.int64)
+        for lo, (s,), (k,) in _blocks([rng], m, self.q, r, size):
+            out = idx[lo : lo + k.size]
+            if table is not None:
+                k += s * (size - r)
+                table.take(k, out=out, mode="clip")
+            else:
+                # signal draws add a stray offset here and are overwritten next
+                np.add(k, shifted.searchsorted(k, side="right"), out=out)
+                np.copyto(out, ne.take(k, mode="clip"), where=s)
         return Dataset(self.space, idx)
 
     def tally(self, m: int, seed) -> np.ndarray:
         """Int64 counts of the m observations `sample(m, seed)` draws, one
         per joint index: np.bincount(sample(m, seed).indices, minlength=|A|),
-        summed block by block.  It holds no m-long index array, only the
-        m-byte signal mask that `_blocks`' two passes need.  CapacityError
-        past JOINT_CEILING joint actions, the length of the counts."""
-        blocks = self._blocks(m, seed)
+        as the one row of `_tallies`.  CapacityError past JOINT_CEILING
+        joint actions, the length of the counts."""
+        rng = self._generator(m, seed)
         size = self.space.joint_size
         check_capacity("sample tally", size, JOINT_CEILING, "joint actions")
-        counts = np.zeros(size, dtype=np.int64)
-        for idx in blocks:
-            counts += np.bincount(idx, minlength=size)
+        return self._tallies([rng], m)[0]
+
+    def _tallies(self, rngs, m: int) -> np.ndarray:
+        """(len(rngs), |A|) int64: row t counts, per joint index, the m
+        observations that `rngs[t]` draws.  Each chunk of the block is one
+        `bincount` of its keys rank + signal * (|A| - |NE|), offset by |A|
+        per row; the key counts, complement ranks then PSNE ranks, move to
+        their joint indices once.  No index array is formed, only the
+        block's signal mask."""
+        ne = self.psne.as_array()
+        size, r = self.space.joint_size, ne.size
+        keys = np.zeros(len(rngs) * size, dtype=np.int64)
+        offsets = np.arange(0, keys.size, size)[:, None]
+        for _, s, k in _blocks(rngs, m, self.q, r, size):
+            k += s * (size - r)
+            k += offsets
+            keys += np.bincount(k.ravel(), minlength=keys.size)
+        keys = keys.reshape(-1, size)
+        counts, noise = np.empty_like(keys), np.ones(keys.shape, dtype=bool)
+        counts[:, ne], noise[:, ne] = keys[:, size - r :], False
+        np.place(counts, noise, keys[:, : size - r])  # row by row, no index array
         return counts
 
     def mass(self, overlap, set_size):

@@ -23,15 +23,24 @@ from psne_learn import (
     MixtureModel,
     PolymatrixGame,
     PsneSet,
+    ResultRow,
+    all_influence_sets,
     count_grid_games,
     encode_joint_action,
+    enumerate_psne_sets,
+    expected_nll,
+    fano_error_lower_bound,
+    fit_counts,
+    influence_psne,
 )
+from psne_learn import experiments
 from psne_learn.errors import check_capacity
 from psne_learn.estimator import (
     DEFAULT_GRID,
     GAME_CEILING,
     _check_class_params,
     _normalize_grid,
+    _result,
     _scan,
 )
 from psne_learn.games import _best_response_grid
@@ -407,8 +416,8 @@ def matmul_fit_counts(family, members, hist):
     """`fit_counts` with its in-set counts taken by `matmul_in_set`; the
     scan itself is the library's."""
     m = int(hist.sum())
-    inside = matmul_in_set(members, hist)
-    return _scan(family, inside, m - inside, float(m))
+    inside = matmul_in_set(members, hist)[None]
+    return _result(family, _scan(family, inside, m - inside, float(m)))
 
 
 def matmul_population_mle(family, members, truth):
@@ -416,8 +425,8 @@ def matmul_population_mle(family, members, truth):
     indicator = np.zeros(family.space.joint_size, dtype=np.int64)
     indicator[list(truth.psne.indices)] = 1
     overlap = matmul_in_set(members, indicator)
-    mass = truth.mass(overlap, members.sum(axis=1).astype(float))
-    return _scan(family, mass, 1.0 - mass, 1.0)
+    mass = truth.mass(overlap, members.sum(axis=1).astype(float))[None]
+    return _result(family, _scan(family, mass, 1.0 - mass, 1.0))
 
 
 def random_model(rng, max_joint=256, max_psne=None):
@@ -469,6 +478,104 @@ def masked_sample_indices(model, m, seed):
     shifted = ne - np.arange(r, dtype=np.int64)
     idx[~signal] = ranks + np.searchsorted(shifted, ranks, side="right")
     return idx
+
+
+def per_trial_fits(config):
+    """(family, truth, [(m, fits)]): every trial's FitResult in trial-index
+    order, one `fit_counts(family, truth.tally(m, rng))` per trial.  The
+    loop `experiments._fit_trials` runs a block of trials at a time."""
+    family = enumerate_psne_sets(config.n, config.k, config.action_sizes, config.grid)
+    truth = experiments._choose_truth(config, family)
+    trials = []
+    for mi, m in enumerate(config.m_schedule):
+        rngs = experiments._trial_rngs(config.seed, mi, config.trials, 1)
+        trials.append((m, [fit_counts(family, truth.tally(m, rng)) for (rng,) in rngs]))
+    return family, truth, trials
+
+
+def frequency_row(m, metric, hits):
+    """The frequency of true hits over the trials, with its binomial stderr."""
+    trials = len(hits)
+    f = sum(bool(h) for h in hits) / trials
+    return ResultRow(m, metric, f, math.sqrt(f * (1.0 - f) / trials), trials)
+
+
+def _fit_table(config, family, truth, rows, **derived):
+    meta = experiments._base_meta(config)
+    meta["derived"] = {
+        "family_size": len(family),
+        "truth_psne": list(truth.psne.indices),
+        "q_star": truth.q,
+        **derived,
+    }
+    return experiments._table(rows, meta)
+
+
+def per_trial_recovery(config):
+    """`run_recovery`'s table from `per_trial_fits`, each trial's fitted set
+    compared with the truth as frozensets."""
+    family, truth, trials = per_trial_fits(config)
+    true = truth.psne.members
+    rows = []
+    for m, fits in trials:
+        hats = [fit.psne.members for fit in fits]
+        rows.append(frequency_row(m, "superset", [true <= h for h in hats]))
+        rows.append(frequency_row(m, "exact", [h == true for h in hats]))
+        rows.append(frequency_row(m, "subset", [h <= true for h in hats]))
+    return _fit_table(config, family, truth, rows)
+
+
+def per_trial_gap(config):
+    """`run_generalization_gap`'s table from `per_trial_fits`."""
+    family, truth, trials = per_trial_fits(config)
+    baseline = expected_nll(truth, truth)
+    level = 1.0 - config.delta
+    rows = []
+    for m, fits in trials:
+        gaps = np.asarray(
+            [
+                expected_nll(MixtureModel(family.space, fit.psne, fit.q_hat), truth) - baseline
+                for fit in fits
+            ]
+        )
+        spread = float(gaps.std(ddof=1)) if config.trials > 1 else 0.0
+        stderr = spread / math.sqrt(config.trials)
+        quant = float(np.quantile(gaps, level, method="higher"))
+        rows.append(ResultRow(m, "gap_mean", float(gaps.mean()), stderr, config.trials))
+        rows.append(ResultRow(m, "gap_quantile", quant, 0.0, config.trials))
+        rows.append(ResultRow(m, "gap_min", float(gaps.min()), 0.0, config.trials))
+    return _fit_table(
+        config, family, truth, rows, quantile_level=level, baseline_nll=baseline
+    )
+
+
+def per_trial_fano(config):
+    """`run_fano`'s table one trial at a time: the hidden set from the
+    trial's first stream, its m observations drawn by `MixtureModel.sample`
+    around that set's equilibrium from the second, and `unique_map_decoder`
+    on them.  `run_fano` draws and decodes a block of trials at a time."""
+    space, q = ActionSpace(config.sizes), experiments._fano_q(config)
+    count = math.comb(config.n, config.k)
+    enumerated = count <= experiments.ENUMERATE_PI_LIMIT
+    pis = all_influence_sets(config.n, config.k) if enumerated else None
+    rows = []
+    for mi, m in enumerate(config.m_schedule):
+        errors = []
+        for pi_rng, data_rng in experiments._trial_rngs(config.seed, mi, config.trials, 2):
+            if enumerated:
+                pi = pis[int(pi_rng.integers(count))]
+            else:
+                chosen = pi_rng.choice(config.n, size=config.k, replace=False) + 1
+                pi = tuple(sorted(int(i) for i in chosen))
+            index = encode_joint_action(space, influence_psne(pi, config.n))
+            draw = MixtureModel(space, PsneSet([index]), q).sample(m, data_rng)
+            errors.append(unique_map_decoder(space, draw.indices, config.k) != pi)
+        bound = fano_error_lower_bound(m, config.n, config.k, space.joint_size, q)
+        rows.append(frequency_row(m, "map_error", errors))
+        rows.append(ResultRow(m, "fano_bound", bound, 0.0, config.trials))
+    meta = experiments._base_meta(config)
+    meta["derived"] = {"q": q, "hypothesis_count": count, "enumerated": enumerated}
+    return experiments._table(rows, meta)
 
 
 def per_row_dataset_text(data):

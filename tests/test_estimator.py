@@ -12,6 +12,7 @@ from psne_learn import (
     ActionSpace,
     CapacityError,
     Dataset,
+    FitResult,
     InputError,
     MixtureModel,
     PolymatrixGame,
@@ -149,6 +150,20 @@ class TestGridGameStream:
     def test_capacity_error_reports_estimate(self):
         with pytest.raises(CapacityError, match=str(count_grid_games(2, 1, (2, 2)))):
             list(enumerate_grid_games(2, 1, (2, 2), ceiling=10))
+
+    @pytest.mark.parametrize(
+        "grid, shown",
+        [(("x",), "'x'"), (("1", True), "'1'"), ((0.0, True), "True"), ((None,), "None")],
+    )
+    def test_grid_values_must_be_real_numbers(self, grid, shown):
+        # the rule and message ExperimentConfig reads its grid with
+        message = f"^grid value must be a real number, got {re.escape(shown)}$"
+        for build in (enumerate_psne_sets, count_grid_games):
+            with pytest.raises(InputError, match=message):
+                build(2, 1, (2, 2), grid)
+        assert count_grid_games(2, 1, (2, 2), (np.float64(-1), 0, 1)) == count_grid_games(
+            2, 1, (2, 2), GRID3
+        )
 
     @pytest.mark.parametrize("sizes", [(0, 2), (1, 2)])
     def test_count_rejects_action_counts_below_two(self, sizes):
@@ -544,3 +559,30 @@ class TestFitOracle:
             assert population_mle(family, truth) == matmul_population_mle(
                 family, members, truth
             )
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+    def test_block_scan_equals_one_row_fits(self, case):
+        family = EXPLICIT_FAMILIES[case]() if isinstance(case, str) else built_family(*case)
+        size = family.space.joint_size
+        rng = np.random.default_rng(2600 + len(family))
+        hists = np.stack(
+            [
+                rng.integers(0, 40, size),
+                # every set's in-set count is its size, so sets of one size
+                # tie exactly and the first of them wins
+                np.ones(size, dtype=np.int64),
+                # all mass on one index: every candidate's q is clamped
+                np.eye(1, size, int(rng.integers(size)), dtype=np.int64)[0],
+                rng.integers(0, 2**56 // size, size),
+                rng.integers(0, 3, size) * (rng.random(size) < 0.2),
+            ]
+        )
+        hists[-1, 0] += 1  # no empty row
+        best, q_hat, objective, clamped = estimator._fit_rows(family, hists)
+        for t, hist in enumerate(hists):
+            fit = FitResult(
+                family[int(best[t])], float(q_hat[t]), float(objective[t]), bool(clamped[t])
+            )
+            assert fit == fit_counts(family, hist)
+        assert best[1] == np.searchsorted(family.sizes, family.sizes[best[1]])
+        assert clamped[2]

@@ -8,6 +8,7 @@ import pytest
 from psne_learn import (
     ConfigError,
     ExperimentConfig,
+    FitResult,
     InputError,
     enumerate_psne_sets,
     fit_counts,
@@ -28,7 +29,7 @@ from psne_learn.experiments import (
     _seed_words,
 )
 
-from helpers import _trial_words, trial_rngs
+from helpers import _trial_words, per_trial_fano, per_trial_gap, per_trial_recovery, trial_rngs
 from psne_learn.mixture import SAMPLE_BLOCK
 
 
@@ -464,6 +465,56 @@ class TestTrialSeeding:
         assert table == self.oracle_table(monkeypatch, run_generalization_gap, config)
 
 
+class TestBlocksMatchPerTrialLoops:
+    """Whole tables of the blocked harnesses against the per-trial loops in
+    `helpers`, on schedules whose blocks leave a partial block, and that
+    cross SAMPLE_BLOCK, past which one trial's draw streams in chunks."""
+
+    EDGES = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1)
+
+    @staticmethod
+    def assert_partial_blocks(config, width):
+        """Some m splits the trials into blocks of more than one trial with
+        a partial last block: SAMPLE_BLOCK // (m + width) trials a block."""
+        rows = [max(1, SAMPLE_BLOCK // max(m + width, 1)) for m in config.m_schedule]
+        assert any(1 < b < config.trials and config.trials % b for b in rows)
+        assert rows[-1] == 1
+
+    @pytest.mark.parametrize(
+        "n, k, sizes, trials",
+        [(2, 1, (2, 3), 85), (3, 2, (2, 2, 2), 19)],
+        ids=["2x3", "binary"],
+    )
+    def test_recovery_and_gap(self, n, k, sizes, trials):
+        # |A| = 6 and 8: m = 1 and 5 lie below it, the rest at or above it
+        config = ExperimentConfig(
+            kind="recovery", n=n, k=k, action_sizes=sizes,
+            m_schedule=(1, 5, 40, *self.EDGES), trials=trials, seed=13,
+        )
+        family = enumerate_psne_sets(n, k, sizes)
+        self.assert_partial_blocks(config, family.space.joint_size + family.indices.size)
+        assert run_recovery(config) == per_trial_recovery(config)
+        gap = dataclasses.replace(config, kind="gap")
+        assert run_generalization_gap(gap) == per_trial_gap(gap)
+
+    @pytest.mark.parametrize(
+        "n, k, sizes",
+        [(5, 2, (3, 2, 2, 3, 2)), (16, 8, ())],
+        ids=["enumerated-non-binary", "sampled"],
+    )
+    def test_fano(self, n, k, sizes):
+        # |A| = 72: m = 1 and 50 lie below it, the rest at or above it;
+        # |A| = 2**16 lies above every m
+        config = ExperimentConfig(
+            kind="fano", n=n, k=k, action_sizes=sizes,
+            m_schedule=(0, 1, 50, 100, 3000, *self.EDGES), trials=83, seed=17,
+        )
+        self.assert_partial_blocks(config, 0)
+        table = run_fano(config)
+        assert table.meta["derived"]["enumerated"] == (n == 5)
+        assert table == per_trial_fano(config)
+
+
 class TestFitTrials:
     """The trial loop fits each draw from its tally; the old formula fits
     the materialized sample, and the two must agree trial by trial."""
@@ -488,7 +539,9 @@ class TestFitTrials:
         family, truth, trials, _ = _fit_trials(config)
         assert [m for m, _ in trials] == list(config.m_schedule)
         for mi, (m, fits) in enumerate(trials):
-            for ti, fit in enumerate(fits):
+            assert all(len(column) == config.trials for column in fits)
+            for ti, (best, q_hat, objective, clamped) in enumerate(zip(*fits)):
+                fit = FitResult(family[int(best)], float(q_hat), float(objective), bool(clamped))
                 (data_seed,) = _trial_words(config.seed, mi, ti, 1)
                 assert fit == fit_mle(family, truth.sample(m, data_seed))
 

@@ -22,7 +22,7 @@ from psne_learn import (
     run_recovery,
     superset_recovery_margin,
 )
-from psne_learn.mixture import SAMPLE_BLOCK
+from psne_learn.mixture import SAMPLE_BLOCK, _blocks
 from helpers import brute_expected_nll, masked_sample_indices, random_model
 
 SPACE4 = ActionSpace((2, 2))
@@ -259,9 +259,9 @@ class TestTally:
         for m, seed in ((-1, 0), (1, -1)):
             with pytest.raises(InputError):
                 model.tally(m, seed)
-            # the shared block generator raises before its first block
+            # the checks every draw shares raise before anything is drawn
             with pytest.raises(InputError):
-                model._blocks(m, seed)
+                model._generator(m, seed)
 
     def test_joint_ceiling(self):
         space = ActionSpace((2,) * 25)  # 2**25 joint actions, past 2**24
@@ -272,9 +272,41 @@ class TestTally:
         assert model.sample(1, 0).m == 1  # a draw itself is not bounded there
         huge = MixtureModel(TestIndexCeiling.HUGE, PsneSet([0]), 0.5)
         with pytest.raises(CapacityError, match=TestIndexCeiling.MESSAGE):
-            huge._blocks(1, 0)
+            huge._generator(1, 0)
         with pytest.raises(CapacityError):
             huge.tally(1, 0)
+
+
+class TestBlockDraw:
+    """`_blocks` on a block of trials, each row drawn from its own seed,
+    against the per-trial formula row by row; `_tallies` against its
+    histogram."""
+
+    # (m, rows): an empty draw, one chunk of several rows, and draws past
+    # SAMPLE_BLOCK that stream, one row as the harnesses run them and two
+    SHAPES = ((0, 3), (1, 5), (7, 4), (SAMPLE_BLOCK // 3, 3), (SAMPLE_BLOCK + 1, 1),
+              (2 * SAMPLE_BLOCK + 5, 2))
+
+    def test_rows_match_masked_formula(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(10):
+            model = random_model(rng)
+            size, ne = model.space.joint_size, model.psne.as_array()
+            r = ne.size
+            table = np.concatenate([np.delete(np.arange(size), ne), ne])
+            for m, rows in self.SHAPES:
+                seeds = [int(s) for s in rng.integers(2**63, size=rows)]
+                draws = np.full((rows, m), -1, dtype=np.int64)
+                gens = [np.random.default_rng(s) for s in seeds]
+                for lo, signal, rank in _blocks(gens, m, model.q, r, size):
+                    assert signal.shape == rank.shape == (rows, min(m - lo, SAMPLE_BLOCK))
+                    draws[:, lo : lo + rank.shape[1]] = table[rank + signal * (size - r)]
+                tallies = model._tallies([np.random.default_rng(s) for s in seeds], m)
+                assert tallies.shape == (rows, size)
+                for row, tally, seed in zip(draws, tallies, seeds, strict=True):
+                    expected = masked_sample_indices(model, m, seed)
+                    assert np.array_equal(row, expected)
+                    assert np.array_equal(tally, np.bincount(expected, minlength=size))
 
 
 class TestEmpiricalNll:
