@@ -91,7 +91,7 @@ def _cmd_fit(args) -> int:
     result = fit_mle(family, data)
     write_fit(args.out, result)
     print(
-        f"best PSNE set {list(result.psne.indices)} with q_hat={result.q_hat!r}",
+        f"best PSNE set {result.psne.indices.tolist()} with q_hat={result.q_hat!r}",
         file=sys.stderr,
     )
     return 0

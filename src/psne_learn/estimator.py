@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, check_capacity
 from .games import JOINT_CEILING, ActionSpace, PsneSet, _best_response_grid
-from .games import _int64_array, _real, bounded_joint_size
+from .games import _int64_array, _joint_indices, _real, bounded_joint_size
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, mixture_interval
 from .mixture import nll_scale
 
@@ -45,8 +45,8 @@ class CandidateFamily(Sequence):
     """Deduplicated PSNE sets over one action space, in canonical order
     (size, then index tuple), stored in one form: read-only int64 `indices`
     holding every set's ascending joint indices end to end, and `offsets`,
-    set i being indices[offsets[i]:offsets[i + 1]].  `family[i]` builds one
-    `PsneSet`; `candidates` and iteration build them all, on every call."""
+    set i being indices[offsets[i]:offsets[i + 1]].  `family[i]` wraps that
+    slice in a `PsneSet`, a view: iteration and `candidates` copy nothing."""
 
     __slots__ = ("space", "provenance", "indices", "offsets")
 
@@ -54,8 +54,10 @@ class CandidateFamily(Sequence):
         """The distinct sets among `psne_sets`, each a `PsneSet` or any
         iterable of joint indices; every set must hold 1..|A|-1 of them."""
         space._check_int64()
-        distinct = {PsneSet(s).indices for s in psne_sets}
-        sets = sorted(distinct, key=lambda t: (len(t), t))
+        sets = [list(s) for s in psne_sets]
+        values = iter(_joint_indices(list(itertools.chain.from_iterable(sets))).tolist())
+        distinct = {tuple(sorted(set(itertools.islice(values, len(s))))) for s in sets}
+        sets = sorted(sorted(distinct), key=len)  # by size, then index tuple
         for t in sets[:1] + sets[-1:]:  # the smallest and the largest size
             mixture_interval(len(t), space.joint_size)
         flat = space.check_indices(list(itertools.chain.from_iterable(sets)))
@@ -100,7 +102,7 @@ class CandidateFamily(Sequence):
 
     def __getitem__(self, i: int) -> PsneSet:
         i = range(len(self))[i]
-        return PsneSet(self.indices[self.offsets[i] : self.offsets[i + 1]].tolist())
+        return PsneSet._view(self.indices[self.offsets[i] : self.offsets[i + 1]])
 
     @property
     def candidates(self) -> tuple[PsneSet, ...]:
@@ -109,12 +111,6 @@ class CandidateFamily(Sequence):
     @property
     def sizes(self) -> np.ndarray:
         return self.offsets[1:] - self.offsets[:-1]
-
-    def __contains__(self, psne: PsneSet) -> bool:
-        r = len(psne)
-        lo, hi = np.searchsorted(self.sizes, (r, r + 1))
-        rows = self.indices[self.offsets[lo] : self.offsets[hi]].reshape(-1, max(r, 1))
-        return list(psne.indices) in rows.tolist()
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,10 @@ class FitResult:
 def _normalize_grid(grid) -> tuple[float, ...]:
     """The distinct grid values, ascending, as floats; each must be a real
     number by the rule `ExperimentConfig` reads its grid with."""
-    vals = tuple(sorted({float(_real(v, "grid value")) for v in grid}))
+    try:
+        vals = tuple(sorted({float(_real(v, "grid value")) for v in grid}))
+    except OverflowError:  # an integer past float range, as the inf it rounds to
+        vals = (math.inf,)
     if not vals:
         raise InputError("grid must contain at least one value")
     if any(not math.isfinite(v) for v in vals):
@@ -317,7 +316,7 @@ def optimal_q(psne: PsneSet, data: Dataset) -> tuple[float, bool]:
     unconstrained minimizer s/m)."""
     if data.m == 0:
         raise InputError("cannot fit q on an empty dataset")
-    check_psne_set(psne, data.space.joint_size)
+    check_psne_set(psne, data.space)
     s = data.count_in(psne)
     q, clamped = _clamp_q(s / data.m, float(len(psne)), float(data.space.joint_size))
     return float(q), bool(clamped)
@@ -338,7 +337,7 @@ def _in_set(family: CandidateFamily, values: np.ndarray) -> np.ndarray:
 
 def _overlaps(family: CandidateFamily, psne: PsneSet) -> np.ndarray:
     """|candidate & psne| for every candidate, in family order."""
-    return _in_set(family, np.isin(family.indices, psne.as_array()))
+    return _in_set(family, np.isin(family.indices, psne.indices))
 
 
 def _scan(family: CandidateFamily, inside, outside, total):

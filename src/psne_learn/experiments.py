@@ -372,7 +372,7 @@ def _fit_trials(config: ExperimentConfig):
     meta = _base_meta(config)
     meta["derived"] = {
         "family_size": len(family),
-        "truth_psne": list(truth.psne.indices),
+        "truth_psne": truth.psne.indices.tolist(),
         "q_star": truth.q,
     }
     return family, truth, trials, meta
@@ -412,10 +412,9 @@ def run_generalization_gap(config: ExperimentConfig) -> ResultTable:
     rows = []
     level = 1.0 - config.delta
     for m, (best, q_hat, *_) in trials:
-        chosen = {b: family[b] for b in set(best.tolist())}
         gaps = np.asarray(
             [
-                expected_nll(MixtureModel(family.space, chosen[b], q), truth) - baseline
+                expected_nll(MixtureModel(family.space, family[b], q), truth) - baseline
                 for b, q in zip(best.tolist(), q_hat.tolist())
             ]
         )

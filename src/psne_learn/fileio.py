@@ -202,7 +202,7 @@ def read_family(path: str) -> CandidateFamily:
 
 def write_fit(path: str, fit: FitResult) -> None:
     payload = {
-        "psne": list(fit.psne.indices),
+        "psne": fit.psne.indices.tolist(),
         "q_hat": fit.q_hat,
         "objective": fit.objective,
         "clamped": fit.clamped,

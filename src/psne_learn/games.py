@@ -53,13 +53,26 @@ def _real(value, what: str) -> int | float:
 
 def _int64_array(values, what: str) -> np.ndarray:
     """`values` as int64; a value `_integer` rejects, or past int64, is an InputError."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting: `_integer` words its first sequence
+        arr = np.asarray(values, dtype=object)
     if arr.dtype.kind != "i" and arr.size:
         ints = [_integer(v, what) for v in np.asarray(values, dtype=object).flat]
         if not all(-(2**63) <= v < 2**63 for v in ints):
             raise InputError(f"{what} values {min(ints)}..{max(ints)} reach past int64")
         arr = np.array(ints, dtype=np.int64).reshape(arr.shape)
     return arr.astype(np.int64, copy=False)
+
+
+def _joint_indices(values) -> np.ndarray:
+    """PSNE joint indices as 1-D int64: each an integer, within int64 and >= 0."""
+    arr = _int64_array(values, "joint-action index")
+    if arr.ndim != 1:  # nested lists: their first item is not an index
+        _integer(next(iter(values)), "joint-action index")
+    if arr.size and arr.min() < 0:
+        raise InputError("joint-action indices must be nonnegative")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -144,48 +157,39 @@ def decode_joint_action(space: ActionSpace, index: int) -> tuple[int, ...]:
 
 
 class PsneSet:
-    """A set of joint-action indices: sorted sequence plus O(1) membership."""
+    """A set of joint-action indices, one read-only sorted distinct int64 array."""
 
-    __slots__ = ("indices", "_members", "_array")
+    __slots__ = ("indices",)
 
     def __init__(self, indices: Iterable[int]):
-        idx = tuple(sorted({_integer(i, "joint-action index") for i in indices}))
-        if idx and idx[0] < 0:
-            raise InputError("joint-action indices must be nonnegative")
-        self.indices = idx
-        self._members = None
-        self._array = None
+        values = indices if isinstance(indices, np.ndarray) else list(indices)
+        self.indices = np.unique(_joint_indices(values))
+        self.indices.flags.writeable = False
 
-    @property
-    def members(self) -> frozenset[int]:
-        if self._members is None:
-            self._members = frozenset(self.indices)
-        return self._members
-
-    def as_array(self) -> np.ndarray:
-        if self._array is None:
-            arr = np.asarray(self.indices, dtype=np.int64)
-            arr.flags.writeable = False
-            self._array = arr
-        return self._array
+    @classmethod
+    def _view(cls, indices: np.ndarray) -> "PsneSet":
+        """The set around `indices` as they are, with no check and no copy."""
+        psne = object.__new__(cls)
+        psne.indices = indices
+        return psne
 
     def __contains__(self, index) -> bool:
-        return index in self.members
+        return index in self.indices.tolist()  # as in a set of ints: 1.0 is in, 1.5 not
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
     def __iter__(self):
-        return iter(self.indices)
+        return iter(self.indices.tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PsneSet) and self.indices == other.indices
+        return isinstance(other, PsneSet) and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
-        return hash(self.indices)
+        return hash(tuple(self.indices.tolist()))
 
     def __repr__(self) -> str:
-        return f"PsneSet({list(self.indices)})"
+        return f"PsneSet({self.indices.tolist()})"
 
 
 def _as_readonly(values, shape, what: str) -> np.ndarray:

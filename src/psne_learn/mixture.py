@@ -92,13 +92,10 @@ def mixture_interval(psne_size: int, joint_size: int) -> MixtureInterval:
     return MixtureInterval.of(psne_size, joint_size)
 
 
-def check_psne_set(psne: PsneSet, joint_size: int) -> MixtureInterval:
-    """The set's q interval; an InputError for a set that is empty, full,
-    or reaches past the joint space."""
-    interval = mixture_interval(len(psne), joint_size)
-    if psne.indices[-1] >= joint_size:
-        raise InputError(f"PSNE set index {psne.indices[-1]} outside 0..{joint_size - 1}")
-    return interval
+def check_psne_set(psne: PsneSet, space: ActionSpace) -> MixtureInterval:
+    """The set's q interval; an InputError for a set empty, full or past the space."""
+    space.check_indices(psne.indices)
+    return mixture_interval(len(psne), space.joint_size)
 
 
 def _blocks(rngs, m: int, q: float, r: int, size: int):
@@ -163,7 +160,7 @@ class Dataset:
 
     def count_in(self, psne: PsneSet) -> int:
         """Number of observations inside a PSNE set."""
-        return int(np.isin(self.indices, psne.as_array()).sum())
+        return int(np.isin(self.indices, psne.indices).sum())
 
     def __len__(self) -> int:
         return self.m
@@ -197,7 +194,7 @@ class MixtureModel:
 
     def __init__(self, space: ActionSpace, psne: PsneSet, q: float):
         size = space.joint_size
-        q = check_psne_set(psne, size).admit(q)
+        q = check_psne_set(psne, space).admit(q)
         self.space = space
         self.psne = psne
         self.q = q
@@ -211,7 +208,7 @@ class MixtureModel:
     def _membership(self, index, inside, outside):
         """`inside` on joint indices in the PSNE set, `outside` elsewhere."""
         idx = self.space.check_indices(index)
-        out = np.where(np.isin(idx, self.psne.as_array()), inside, outside)
+        out = np.where(np.isin(idx, self.psne.indices), inside, outside)
         return float(out) if idx.ndim == 0 else out
 
     def pmf(self, index):
@@ -243,7 +240,7 @@ class MixtureModel:
         and a PSNE rank through the set.  Both maps are exact integer
         lookups of the same ranks, so the indices do not depend on the path."""
         rng = self._generator(m, seed)
-        size, ne = self.space.joint_size, self.psne.as_array()
+        size, ne = self.space.joint_size, self.psne.indices
         r = ne.size
         table = np.concatenate([np.delete(np.arange(size), ne), ne]) if size <= m else None
         # the complement rank c is joint index c plus the PSNE indices it skips
@@ -277,7 +274,7 @@ class MixtureModel:
         per row; the key counts, complement ranks then PSNE ranks, move to
         their joint indices once.  No index array is formed, only the
         block's signal mask."""
-        ne = self.psne.as_array()
+        ne = self.psne.indices
         size, r = self.space.joint_size, ne.size
         keys = np.zeros(len(rngs) * size, dtype=np.int64)
         offsets = np.arange(0, keys.size, size)[:, None]
@@ -317,7 +314,7 @@ def expected_log_pmf(truth: MixtureModel, model: MixtureModel) -> float:
     """
     if truth.space.counts != model.space.counts:
         raise InputError("models live on different action spaces")
-    inter = len(truth.psne.members & model.psne.members)
+    inter = np.intersect1d(truth.psne.indices, model.psne.indices, assume_unique=True).size
     r = len(model.psne)
     mass_on_model = truth.mass(inter, r)
     mass_off_model = truth.mass(len(truth.psne) - inter, truth.space.joint_size - r)

@@ -336,7 +336,7 @@ def games_psne_sets(n, k, sizes, grid):
     for game in enumerate_grid_games(n, k, sizes, grid):
         psne = sweep_psne_set(game)
         if 1 <= len(psne) <= space.joint_size - 1:
-            found[psne.indices] = psne
+            found[tuple(psne)] = psne
     return CandidateFamily(space, list(found.values()), "grid-game stream")
 
 
@@ -401,7 +401,7 @@ def member_matrix(family):
     set by set from its `PsneSet`s."""
     mat = np.zeros((len(family), family.space.joint_size), dtype=bool)
     for row, cand in enumerate(family):
-        mat[row, list(cand.indices)] = True
+        mat[row, list(cand)] = True
     return mat
 
 
@@ -423,7 +423,7 @@ def matmul_fit_counts(family, members, hist):
 def matmul_population_mle(family, members, truth):
     """`population_mle` with its overlaps taken by `matmul_in_set`."""
     indicator = np.zeros(family.space.joint_size, dtype=np.int64)
-    indicator[list(truth.psne.indices)] = 1
+    indicator[list(truth.psne)] = 1
     overlap = matmul_in_set(members, indicator)
     mass = truth.mass(overlap, members.sum(axis=1).astype(float))[None]
     return _result(family, _scan(family, mass, 1.0 - mass, 1.0))
@@ -471,7 +471,7 @@ def masked_sample_indices(model, m, seed):
     signal = rng.random(m) < model.q
     pick = rng.random(m)
     idx = np.empty(m, dtype=np.int64)
-    ne = model.psne.as_array()
+    ne = model.psne.indices
     r = ne.size
     idx[signal] = ne[(pick[signal] * r).astype(np.int64)]
     ranks = (pick[~signal] * (model.space.joint_size - r)).astype(np.int64)
@@ -504,7 +504,7 @@ def _fit_table(config, family, truth, rows, **derived):
     meta = experiments._base_meta(config)
     meta["derived"] = {
         "family_size": len(family),
-        "truth_psne": list(truth.psne.indices),
+        "truth_psne": list(truth.psne),
         "q_star": truth.q,
         **derived,
     }
@@ -515,10 +515,10 @@ def per_trial_recovery(config):
     """`run_recovery`'s table from `per_trial_fits`, each trial's fitted set
     compared with the truth as frozensets."""
     family, truth, trials = per_trial_fits(config)
-    true = truth.psne.members
+    true = frozenset(truth.psne)
     rows = []
     for m, fits in trials:
-        hats = [fit.psne.members for fit in fits]
+        hats = [frozenset(fit.psne) for fit in fits]
         rows.append(frequency_row(m, "superset", [true <= h for h in hats]))
         rows.append(frequency_row(m, "exact", [h == true for h in hats]))
         rows.append(frequency_row(m, "subset", [h <= true for h in hats]))

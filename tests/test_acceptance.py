@@ -331,6 +331,6 @@ def test_criterion_10_candidate_count_oracle():
     started = time.time()
     family = enumerate_psne_sets(2, 1, (2, 2), GRID3)
     oracle = bimatrix_psne_sets(GRID3)
-    assert {frozenset(c.indices) for c in family} == oracle
+    assert {frozenset(c) for c in family} == oracle
     assert len(family) == len(oracle)
     _passed(10, "candidate-count oracle", started, 120.0)

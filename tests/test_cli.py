@@ -51,7 +51,7 @@ class TestPipeline:
         )
         assert code == 0
         fit = read_fit(fit_path)
-        assert fit.psne.indices == (0,)
+        assert tuple(fit.psne) == (0,)
 
     def test_malformed_family_json_exit_code(self, tmp_path, capsys):
         family_path = tmp_path / "family.json"
@@ -380,6 +380,7 @@ FAMILY_FILES = {
     "forty": FORTY_FAMILY,
     "half": {"actions": [2, 2], "candidates": [[0.5]]},
     "true": {"actions": [2, 2], "candidates": [[True]]},
+    "past_int64": {"actions": [2, 2], "candidates": [[99999999999999999999]]},
     "text": {"actions": "22", "candidates": [[0]]},
     "twelve": {"actions": [12, 2], "candidates": [[0]]},
 }
@@ -478,6 +479,11 @@ MALFORMED = {
         2,
         "malformed family file {true}: joint-action index must be an integer, got True",
     ),
+    "fit-family-index-past-int64": (
+        ["fit", "--family", "{past_int64}", "--data", "{data}", "--out", "{out}"],
+        2,
+        "99999999999999999999..99999999999999999999 reach past int64",
+    ),
     "fit-family-actions-string": (
         ["fit", "--family", "{text}", "--data", "{data}", "--out", "{out}"],
         2,
@@ -506,7 +512,7 @@ MALFORMED = {
     "experiment-truth-psne-past-int64": (
         ["experiment", "--kind", "recovery", f"--truth-psne={BIG_N}", "--out", "{out}"],
         3,
-        "declared truth PSNE set is not in the candidate family",
+        f"{BIG_N}..{BIG_N} reach past int64",
     ),
     "fano-bound-past-log-gamma-range": (
         ["theory", "--fano-bound", "--m", "5", "--n", "100000000000000000",

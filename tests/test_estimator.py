@@ -165,6 +165,12 @@ class TestGridGameStream:
             2, 1, (2, 2), GRID3
         )
 
+    def test_integer_grid_value_past_float_range_is_not_finite(self):
+        # the message `--grid 1e400` gets, not an OverflowError
+        for build in (enumerate_psne_sets, count_grid_games):
+            with pytest.raises(InputError, match="^grid values must be finite$"):
+                build(2, 1, (2, 2), (0, 10**400))
+
     @pytest.mark.parametrize("sizes", [(0, 2), (1, 2)])
     def test_count_rejects_action_counts_below_two(self, sizes):
         # the same rule ActionSpace applies
@@ -184,14 +190,14 @@ class TestFamilyEnumeration:
         for n, k, sizes, grid in cases:
             by_regions = enumerate_psne_sets(n, k, sizes, grid)
             by_games = games_psne_sets(n, k, sizes, grid)
-            assert [c.indices for c in by_regions] == [c.indices for c in by_games]
+            assert [tuple(c) for c in by_regions] == [tuple(c) for c in by_games]
 
     @pytest.mark.parametrize("n, k, sizes", WIDE_CASES)
     def test_matches_packed_row_oracle(self, n, k, sizes):
         by_masks = built_family(n, k, sizes, GRID3)
         by_rows = packed_psne_sets(n, k, sizes, GRID3)
         assert len(by_masks) > 0
-        assert [c.indices for c in by_masks] == [c.indices for c in by_rows]
+        assert [tuple(c) for c in by_masks] == [tuple(c) for c in by_rows]
 
     def test_partial_ceiling_names_round_count_and_ceiling(self, monkeypatch):
         monkeypatch.setattr(estimator, "PARTIAL_SET_CEILING", 100)
@@ -210,8 +216,8 @@ class TestFamilyEnumeration:
         assert len(enumerate_psne_sets(2, 1, (2, 2), (0.0,))) == 0
 
     def test_family_grows_with_grid(self):
-        small = {c.indices for c in enumerate_psne_sets(2, 1, (2, 2), (0.0, 1.0))}
-        large = {c.indices for c in enumerate_psne_sets(2, 1, (2, 2), GRID3)}
+        small = {tuple(c) for c in enumerate_psne_sets(2, 1, (2, 2), (0.0, 1.0))}
+        large = {tuple(c) for c in enumerate_psne_sets(2, 1, (2, 2), GRID3)}
         assert small <= large
 
     def test_candidates_valid_and_sorted(self):
@@ -224,14 +230,14 @@ class TestFamilyEnumeration:
             shuffled_family(),
         ]
         for family in families:
-            keys = [(len(c), c.indices) for c in family]
+            keys = [(len(c), tuple(c)) for c in family]
             assert keys == sorted(keys)
             assert len(keys) == len(set(keys))
             assert all(1 <= len(c) < family.space.joint_size for c in family)
             assert family.sizes.tolist() == [len(c) for c in family]
         distinct = {tuple(sorted(s)) for s in SHUFFLED_SETS}
         expected = sorted(distinct, key=lambda t: (len(t), t))
-        assert [c.indices for c in shuffled_family()] == expected
+        assert [tuple(c) for c in shuffled_family()] == expected
 
     def test_joint_ceiling(self):
         # judged before any space is formed: the product of the first 17
@@ -316,12 +322,12 @@ class TestPlayerRegions:
 class TestFamilyFactories:
     def test_all_subsets_singletons(self):
         family = all_subsets_family((2, 2), 1)
-        assert [c.indices for c in family] == [(0,), (1,), (2,), (3,)]
+        assert [tuple(c) for c in family] == [(0,), (1,), (2,), (3,)]
         assert family.provenance == "all-subsets(max_size=1)"
 
     def test_explicit_family_dedupes(self):
         family = explicit_family((2, 2), [[3, 0], [0, 3], [1]])
-        assert [c.indices for c in family] == [(1,), (0, 3)]
+        assert [tuple(c) for c in family] == [(1,), (0, 3)]
 
     def test_explicit_family_rejects_full_set(self):
         # and, through the same check, an empty set or an index past |A|
@@ -347,7 +353,7 @@ class TestFamilyFactories:
     def test_explicit_sets_may_be_any_iterables(self):
         sets = [(3, 0), np.array([0, 3]), range(1, 2), PsneSet([2])]
         family = CandidateFamily(ActionSpace((2, 2)), iter(sets), "explicit list")
-        assert [c.indices for c in family] == [(1,), (2,), (0, 3)]
+        assert [tuple(c) for c in family] == [(1,), (2,), (0, 3)]
 
 
 class TestOptimalQ:
@@ -521,6 +527,20 @@ def _case_id(case):
 
 
 ORACLE_CASES = [*BUILT_FAMILIES, *EXPLICIT_FAMILIES]
+
+
+@pytest.mark.parametrize("case", BUILT_FAMILIES, ids=_case_id)
+def test_sets_are_views_equal_to_rebuilt_sets(case):
+    family = built_family(*case)
+    for psne in family:
+        assert np.shares_memory(psne.indices, family.indices)
+        assert not psne.indices.flags.writeable
+    ends = family.offsets.tolist()
+    rebuilt = [PsneSet(family.indices[a:b].tolist()) for a, b in itertools.pairwise(ends)]
+    assert family.candidates == tuple(rebuilt)
+    assert [list(c) for c in family.candidates] == [list(c) for c in rebuilt]
+    assert rebuilt[0] in family and rebuilt[-1] in family
+    assert PsneSet([family.space.joint_size]) not in family
 
 
 class TestFitOracle:

@@ -98,11 +98,12 @@ class TestConfigValidation:
             ({"kind": "fano", "fano_q": "0.1"}, "fano_q must be a real number, got '0.1'"),
             ({"grid": (0.0, "x")}, "grid value must be a real number, got 'x'"),
             ({"grid": (True,)}, "grid value must be a real number, got True"),
+            ({"grid": (10**400,)}, "grid values must be finite"),
         ],
         ids=[
             "float-seed", "float-trials", "float-m", "float-n", "float-k",
             "str-q-star", "bool-seed", "bool-trials", "none-delta", "str-fano-q",
-            "str-grid", "bool-grid",
+            "str-grid", "bool-grid", "int-grid-past-float-range",
         ],
     )
     def test_field_types_checked(self, fields, message):

@@ -239,7 +239,7 @@ class TestFamilyAndFit:
         write_family(str(path), family)
         back = read_family(str(path))
         assert back.space == family.space
-        assert [c.indices for c in back] == [c.indices for c in family]
+        assert [tuple(c) for c in back] == [tuple(c) for c in family]
         assert back.provenance == family.provenance
 
     def test_fit_round_trip(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -122,18 +123,48 @@ def test_non_integers_rejected_not_truncated(build):
 
 
 class TestPsneSet:
-    def test_members_built_once_on_first_read(self):
-        psne = PsneSet(np.array([5, 1, 3, 1]))
-        first = psne.members
-        assert first == frozenset(psne.indices) == frozenset({1, 3, 5})
-        assert psne.members is first
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [5, 1, 3, 1],
+            (1, 3, 5),
+            range(1, 6, 2),
+            np.array([5, 3, 1], dtype=np.int64),
+            (i for i in (3, 5, 1)),
+            PsneSet([1, 3, 5]),
+        ],
+        ids=["list-with-duplicates", "tuple", "range", "int64-array", "generator", "psne-set"],
+    )
+    def test_every_input_form_gives_one_sorted_int64_set(self, indices):
+        psne = PsneSet(indices)
+        assert psne == PsneSet([1, 3, 5]) and hash(psne) == hash((1, 3, 5))
+        assert psne.indices.dtype == np.int64 and not psne.indices.flags.writeable
+        assert psne.indices.tolist() == [1, 3, 5]
+        assert list(psne) == [1, 3, 5] and all(type(i) is int for i in psne)
+        assert repr(psne) == "PsneSet([1, 3, 5])" and len(psne) == 3
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ([1, 0.5], "joint-action index must be an integer, got 0.5"),
+            ([True], "joint-action index must be an integer, got True"),
+            ([[1, 2]], "joint-action index must be an integer, got [1, 2]"),
+            ([1, [2]], "joint-action index must be an integer, got [2]"),
+            ([2**63], "values 9223372036854775808..9223372036854775808 reach past int64"),
+            ([3, -1], "joint-action indices must be nonnegative"),
+        ],
+        ids=["half", "bool", "nested", "ragged", "past-int64", "negative"],
+    )
+    def test_rejects_each_index_as_the_index_rule_does(self, indices, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            PsneSet(indices)
 
     def test_membership_accepts_numpy_integers(self):
         psne = PsneSet([1, 3, 5])
         assert np.int64(3) in psne and np.int32(5) in psne and np.uint8(1) in psne
         assert np.int64(2) not in psne and 6 not in psne
         assert 1.5 not in psne and 1.0 in psne  # compared, never truncated
-        assert psne.members == frozenset({1, 3, 5})
+        assert set(psne) == {1, 3, 5}
 
 
 class TestPayoff:

@@ -291,7 +291,7 @@ class TestBlockDraw:
         rng = np.random.default_rng(2026)
         for _ in range(10):
             model = random_model(rng)
-            size, ne = model.space.joint_size, model.psne.as_array()
+            size, ne = model.space.joint_size, model.psne.indices
             r = ne.size
             table = np.concatenate([np.delete(np.arange(size), ne), ne])
             for m, rows in self.SHAPES:
@@ -479,3 +479,9 @@ INDEX_ENTRY_POINTS = {
 def test_index_rule_at_every_entry_point(entry, value):
     with pytest.raises(InputError):
         INDEX_ENTRY_POINTS[entry](ActionSpace((2, 3)), value)
+
+
+def test_ragged_indices_are_an_input_error():
+    # numpy cannot stack them; the first nested value is named as a non-integer
+    with pytest.raises(InputError, match=r"^joint index must be an integer, got \[2\]$"):
+        Dataset(ActionSpace((2, 3)), [1, [2]])
