@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, check_capacity
-from .games import JOINT_CEILING, ActionSpace, PsneSet, _best_response_grid
-from .games import _int64_array, _joint_indices, _real, bounded_joint_size
+from .games import JOINT_CEILING, ActionSpace, PsneSet, _best_response_grid, _int64_array
+from .games import _integer, _joint_indices, _real, bounded_joint_size
 from .mixture import Dataset, MixtureInterval, MixtureModel, check_psne_set, mixture_interval
 from .mixture import nll_scale
 
@@ -37,16 +37,14 @@ REGION_CHUNK_ELEMENTS = 1 << 16
 # the infimum at the open lower endpoint of the q interval is not attained;
 # clamp this far above it so the estimator stays total
 LOWER_CLAMP_OFFSET = 1e-9
-# every byte with its bits reversed, for the canonical order of bitmasks
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class CandidateFamily(Sequence):
-    """Deduplicated PSNE sets over one action space, in canonical order
-    (size, then index tuple), stored in one form: read-only int64 `indices`
-    holding every set's ascending joint indices end to end, and `offsets`,
-    set i being indices[offsets[i]:offsets[i + 1]].  `family[i]` wraps that
-    slice in a `PsneSet`, a view: iteration and `candidates` copy nothing."""
+    """Deduplicated PSNE sets over one action space, in the canonical order
+    of `_store`, stored in one form: read-only int64 `indices` holding every
+    set's ascending joint indices end to end, and `offsets`, set i being
+    indices[offsets[i]:offsets[i + 1]].  `family[i]` wraps that slice in a
+    `PsneSet`, a view: iteration and `candidates` copy nothing."""
 
     __slots__ = ("space", "provenance", "indices", "offsets")
 
@@ -56,28 +54,19 @@ class CandidateFamily(Sequence):
         space._check_int64()
         sets = [list(s) for s in psne_sets]
         values = iter(_joint_indices(list(itertools.chain.from_iterable(sets))).tolist())
-        distinct = {tuple(sorted(set(itertools.islice(values, len(s))))) for s in sets}
-        sets = sorted(sorted(distinct), key=len)  # by size, then index tuple
-        for t in sets[:1] + sets[-1:]:  # the smallest and the largest size
-            mixture_interval(len(t), space.joint_size)
+        sets = [sorted(set(itertools.islice(values, len(s)))) for s in sets]
+        lengths = np.fromiter(map(len, sets), np.int64, len(sets))
+        for r in lengths.min(initial=1), lengths.max(initial=1):  # smallest, then largest
+            mixture_interval(int(r), space.joint_size)
         flat = space.check_indices(list(itertools.chain.from_iterable(sets)))
-        self._store(space, provenance, flat, np.fromiter(map(len, sets), np.int64, len(sets)))
+        self._store(space, provenance, flat, lengths)
 
     @classmethod
     def _from_masks(cls, space: ActionSpace, masks: list[int], provenance: str):
-        """The family of distinct int bitmasks (bit x is joint index x), none
-        empty or full, unpacked REGION_CHUNK_ELEMENTS // |A| at a time.  The
-        canonical order sorts by popcount, then by the complement's bytes,
-        each byte's bits reversed: the lowest differing index comes first."""
+        """The family of int bitmasks (bit x is joint index x), none empty or
+        full, unpacked REGION_CHUNK_ELEMENTS // |A| at a time."""
         size = space.joint_size
         nbytes, chunk = (size + 7) // 8, max(1, REGION_CHUNK_ELEMENTS // size)
-        full = (1 << size) - 1
-
-        def key(m):
-            flipped = (full ^ m).to_bytes(nbytes, "little")
-            return m.bit_count(), flipped.translate(_BIT_REVERSED)
-
-        masks = sorted(masks, key=key)
         lengths = np.fromiter((m.bit_count() for m in masks), np.int64, len(masks))
         flat, end = np.empty(lengths.sum(), np.int64), 0
         for start in range(0, len(masks), chunk):
@@ -92,9 +81,21 @@ class CandidateFamily(Sequence):
         return family
 
     def _store(self, space, provenance, flat, lengths) -> None:
-        """Hold distinct sets in canonical order, given end to end in `flat`."""
+        """Hold the distinct sets among those given end to end in `flat`,
+        set i being the next lengths[i] indices, ascending and distinct; sets
+        may repeat and come in any order.  The canonical order is by size,
+        then by index tuple: per size, one `np.unique` of that size's sets as
+        int64 rows sorts them numerically and drops the repeats."""
+        ends, sizes = np.cumsum(lengths), np.unique(lengths)
+        indices, kept, end = np.empty_like(flat), [], 0
+        for r in sizes:  # that size's sets as (count, r) rows
+            rows = np.unique(flat[ends[lengths == r, None] - np.arange(r, 0, -1)], axis=0)
+            indices[end : end + rows.size] = rows.ravel()
+            end += rows.size
+            kept.append(len(rows))
         self.space, self.provenance = space, provenance
-        self.indices, self.offsets = flat, np.concatenate(([0], np.cumsum(lengths)))
+        self.indices = indices[:end]
+        self.offsets = np.concatenate(([0], np.cumsum(np.repeat(sizes, kept))))
         self.indices.flags.writeable = self.offsets.flags.writeable = False
 
     def __len__(self) -> int:
@@ -153,6 +154,7 @@ def _class_param_problems(n: int, k: int, action_sizes) -> list[str]:
 
 
 def _check_class_params(n: int, k: int, action_sizes) -> tuple[int, ...]:
+    n, k = _integer(n, "n"), _integer(k, "k")
     sizes = tuple(action_sizes)
     problems = _class_param_problems(n, k, sizes)
     if problems:
@@ -254,6 +256,7 @@ def _player_regions(n, k, sizes, grid, i, space: ActionSpace) -> set[int]:
 def family_sizes(n: int, action_sizes=()) -> tuple[int, ...]:
     """`action_sizes`, or 2 for each of n players when none are given; raises
     CapacityError, before they are formed, past FAMILY_JOINT_CEILING."""
+    n = _integer(n, "n")
     size = bounded_joint_size(n, tuple(action_sizes), FAMILY_JOINT_CEILING)
     check_capacity("family joint space", size, FAMILY_JOINT_CEILING, "joint actions")
     return tuple(action_sizes) or (2,) * n

@@ -18,10 +18,12 @@ One sampler, `_blocks`, draws a block of trials at a time, each trial's
 observations from its own Generator: masking and ranking run once on the
 block's (trials x m) arrays, and a draw longer than SAMPLE_BLOCK is one
 trial streamed in chunks of SAMPLE_BLOCK.  `sample` maps its one row's
-ranks through the PSNE set into a dataset's index array, `tally` and the
-trial fits count each row's ranks, and `experiments.run_fano` maps each
-row through its trial's one equilibrium.  A tally holds no m-long index
-array, only the m-byte signal mask of the first pass.
+ranks into a dataset's index array by one rank map at any |A|: a
+sorted-rank lookup for a complement rank, the PSNE set for a signal rank.
+`tally` and the trial fits count each row's ranks, and
+`experiments.run_fano` maps each row through its trial's one equilibrium.
+A tally holds no m-long index array, only the m-byte signal mask of the
+first pass.
 """
 
 from __future__ import annotations
@@ -234,27 +236,19 @@ class MixtureModel:
     def sample(self, m: int, seed) -> Dataset:
         """Draw m observations: the one row of `_blocks` (see there; the seed
         as `_generator` reads it), mapped straight into the dataset's index
-        array.  When |A| <= m, one table of the complement then the PSNE
-        set maps key rank + signal * (|A| - |NE|) to the joint index;
-        otherwise a complement rank resolves through a sorted-rank lookup
-        and a PSNE rank through the set.  Both maps are exact integer
-        lookups of the same ranks, so the indices do not depend on the path."""
+        array.  A complement rank resolves through a sorted-rank lookup and a
+        PSNE rank through the set, both exact integer lookups."""
         rng = self._generator(m, seed)
         size, ne = self.space.joint_size, self.psne.indices
         r = ne.size
-        table = np.concatenate([np.delete(np.arange(size), ne), ne]) if size <= m else None
         # the complement rank c is joint index c plus the PSNE indices it skips
         shifted = ne - np.arange(r, dtype=np.int64)
         idx = np.empty(m, dtype=np.int64)
         for lo, (s,), (k,) in _blocks([rng], m, self.q, r, size):
             out = idx[lo : lo + k.size]
-            if table is not None:
-                k += s * (size - r)
-                table.take(k, out=out, mode="clip")
-            else:
-                # signal draws add a stray offset here and are overwritten next
-                np.add(k, shifted.searchsorted(k, side="right"), out=out)
-                np.copyto(out, ne.take(k, mode="clip"), where=s)
+            # signal draws add a stray offset here and are overwritten next
+            np.add(k, shifted.searchsorted(k, side="right"), out=out)
+            np.copyto(out, ne.take(k, mode="clip"), where=s)
         return Dataset(self.space, idx)
 
     def tally(self, m: int, seed) -> np.ndarray:

@@ -71,6 +71,14 @@ SHUFFLED_SETS = [
     [0, 11], [6], [10, 0, 11], [3, 9],
 ]
 
+# (2**21-action space) indices whose low bytes order them differently
+WIDE_SPACE_SETS = [
+    [256], [1], [2, 256], [2, 1], [2**20 + 1, 5], [511, 1], [257], [2**20],
+    [1, 2**21 - 1], [255, 256, 1],
+]
+# (12-action space) repeated sets, their indices repeated and in any order
+REPEATED_SETS = [[4, 4, 1], [1, 4], [4, 1, 1, 4], [9], [9, 9], [3, 2, 3, 0], [0, 2, 3]]
+
 
 @functools.cache
 def built_family(n, k, sizes, grid):
@@ -165,6 +173,22 @@ class TestGridGameStream:
             2, 1, (2, 2), GRID3
         )
 
+    @pytest.mark.parametrize(
+        "build, n, k, sizes, message",
+        [
+            (enumerate_psne_sets, 3, 1.0, (), "k must be an integer, got 1.0"),
+            (enumerate_psne_sets, 3.0, 1, (2, 2, 2), "n must be an integer, got 3.0"),
+            (enumerate_psne_sets, 3.0, 1, (), "n must be an integer, got 3.0"),
+            (count_grid_games, 3, 1.0, (2, 2, 2), "k must be an integer, got 1.0"),
+            (enumerate_psne_sets, 3, True, (), "k must be an integer, got True"),
+        ],
+        ids=["float-k", "float-n", "float-n-default-sizes", "count-float-k", "bool-k"],
+    )
+    def test_n_and_k_must_be_integers(self, build, n, k, sizes, message):
+        # the rule every other entry point reads n and k with
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build(n, k, sizes)
+
     def test_integer_grid_value_past_float_range_is_not_finite(self):
         # the message `--grid 1e400` gets, not an OverflowError
         for build in (enumerate_psne_sets, count_grid_games):
@@ -228,6 +252,12 @@ class TestFamilyEnumeration:
             *(built_family(n, k, sizes, GRID3) for n, k, sizes in WIDE_CASES),
             built_family(4, 3, (2, 2, 2, 2), GRID3),
             shuffled_family(),
+            # indices past one byte, which a bytewise row sort misorders
+            CandidateFamily(ActionSpace((2**20, 2)), WIDE_SPACE_SETS, "explicit list"),
+            # repeats in either index order and with repeated indices
+            CandidateFamily(ActionSpace((3, 4)), REPEATED_SETS, "explicit list"),
+            # one size only
+            CandidateFamily(ActionSpace((3, 4)), [[7, 2], [0, 11], [2, 3], [1, 0]], "one size"),
         ]
         for family in families:
             keys = [(len(c), tuple(c)) for c in family]
@@ -235,9 +265,19 @@ class TestFamilyEnumeration:
             assert len(keys) == len(set(keys))
             assert all(1 <= len(c) < family.space.joint_size for c in family)
             assert family.sizes.tolist() == [len(c) for c in family]
-        distinct = {tuple(sorted(s)) for s in SHUFFLED_SETS}
-        expected = sorted(distinct, key=lambda t: (len(t), t))
-        assert [tuple(c) for c in shuffled_family()] == expected
+        for family, sets in zip(families[-4:-1], [SHUFFLED_SETS, WIDE_SPACE_SETS, REPEATED_SETS]):
+            distinct = {tuple(sorted(set(s))) for s in sets}
+            expected = sorted(distinct, key=lambda t: (len(t), t))
+            assert [tuple(c) for c in family] == expected
+
+    @pytest.mark.parametrize("n, k, sizes", [(3, 1, (3, 2, 2)), (7, 0, (2,) * 7)])
+    def test_from_masks_ignores_mask_order(self, n, k, sizes):
+        family = built_family(n, k, sizes, GRID3)
+        masks = [sum(1 << x for x in c) for c in family]
+        np.random.default_rng(25).shuffle(masks)
+        again = CandidateFamily._from_masks(family.space, masks, family.provenance)
+        assert np.array_equal(again.indices, family.indices)
+        assert np.array_equal(again.offsets, family.offsets)
 
     def test_joint_ceiling(self):
         # judged before any space is formed: the product of the first 17

@@ -165,9 +165,9 @@ class TestSampling:
                     seed = int(rng.integers(2**32))
                     expected = masked_sample_indices(model, m, seed)
                     assert np.array_equal(model.sample(m, seed).indices, expected)
-        # every block edge: |A| <= m takes the joint-index table and |A| > m
-        # the rank lookup; the 2**13-joint space switches between the first
-        # two counts, and the 2**63-joint space is the int64 ceiling
+        # every block edge, with |A| both at most m and past it: the
+        # 2**13-joint space crosses m between the first two counts, and the
+        # 2**63-joint space is the int64 ceiling
         edges = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 7)
         rng = np.random.default_rng(2025)
         for sizes in [(2, 2), (3, 2, 2), (4, 4, 5), (2,) * 13, (2,) * 16, (2,) * 20, (2,) * 63]:
@@ -229,9 +229,9 @@ class TestDrawArguments:
 
 
 class TestTally:
-    # the block edges of TestSampling, on the joint-index table (|A| <= m)
-    # and on the rank lookup (|A| > m): the 2**13-joint space switches
-    # between SAMPLE_BLOCK - 1 and SAMPLE_BLOCK, the larger ones never do
+    # the block edges of TestSampling, with |A| both at most m and past it:
+    # the 2**13-joint space crosses m between SAMPLE_BLOCK - 1 and
+    # SAMPLE_BLOCK, the larger ones never do
     COUNTS = (0, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 7)
 
     def test_matches_histogram_of_sample(self):
