@@ -45,7 +45,8 @@ ENUMERATE_PI_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs to one harness run; validation reports every violation."""
+    """Inputs to one harness run.  Every bad field, a list field that is not a
+    sequence included, is reported in one ConfigError (exit 3 in the CLI)."""
 
     kind: str
     n: int = 4
@@ -61,53 +62,46 @@ class ExperimentConfig:
     fano_q: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("action_sizes", "grid", "m_schedule", "truth_psne"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
         problems = []
 
-        def read(rule, value, what):
-            """`rule(value, what)`, or None with its message listed."""
+        def check(rule, *args):
+            """`rule(*args)`, or None with its message listed."""
             try:
-                return rule(value, what)
+                return rule(*args)
             except InputError as exc:
                 problems.append(str(exc))
 
+        def read(name, rule, what=None):
+            """Field `name` stored as `rule` reads it (a list field: as a tuple,
+            then item by item as `what`), or None so that the rules on it wait."""
+            value = check(rule if what is None else _tuple, getattr(self, name), name)
+            if what is not None and value is not None:
+                object.__setattr__(self, name, value)
+                value = tuple(check(rule, item, what) for item in value)
+            if value is not None and (what is None or None not in value):
+                object.__setattr__(self, name, value)
+                return value
+
         if self.kind not in KINDS:
             problems.append(f"kind must be one of {'/'.join(KINDS)}, got {self.kind!r}")
-        # a field of the wrong type reports that, and the rules reading it wait
-        n, k, trials, seed = [
-            read(_integer, getattr(self, name), name) for name in ("n", "k", "trials", "seed")
-        ]
-        schedule = [read(_integer, m, "sample size") for m in self.m_schedule]
-        grid = [read(_real, v, "grid value") for v in self.grid]
-        delta, q_star = (read(_real, getattr(self, name), name) for name in ("delta", "q_star"))
-        fano_q = None if self.fano_q is None else read(_real, self.fano_q, "fano_q")
         # numpy numbers are stored as the Python ints and floats they hold,
-        # which the seeding and JSON take; action counts and PSNE indices
-        # that are not integers are left to their own rules below
-        read_as = dict(
-            n=n, k=k, trials=trials, seed=seed, delta=delta, q_star=q_star, fano_q=fano_q,
-            m_schedule=None if None in schedule else tuple(schedule),
-            grid=None if None in grid else tuple(grid),
-            action_sizes=_integers(self.action_sizes),
-            truth_psne=self.truth_psne and _integers(self.truth_psne),
-        )
-        for name, value in read_as.items():
-            if value is not None:
-                object.__setattr__(self, name, value)
-        fano_q_ok = self.fano_q is None or fano_q is not None
-        sizes = self.action_sizes
-        class_ok = None not in (n, k)
-        if class_ok:
-            class_problems = _class_param_problems(n, k, sizes or None)
-            problems += class_problems
-            class_ok = not class_problems
-        if not schedule:
+        # which the seeding and JSON take
+        n, k, trials, seed = (read(name, _integer) for name in ("n", "k", "trials", "seed"))
+        schedule = read("m_schedule", _integer, "sample size")
+        grid = read("grid", _real, "grid value")
+        delta, _ = (read(name, _real) for name in ("delta", "q_star"))
+        fano_q_ok = self.fano_q is None or read("fano_q", _real) is not None
+        # action counts and PSNE indices that are not integers wait for their own rules
+        sizes = read("action_sizes", _integers)
+        truth = () if self.truth_psne is None else read("truth_psne", _integers)
+        class_problems = [] if None in (n, k) else _class_param_problems(n, k, sizes or None)
+        problems += class_problems
+        class_ok = None not in (n, k) and not class_problems
+        if schedule == ():
             problems.append("m_schedule must be nonempty")
-        if None not in schedule:
+        if schedule:
             if any(b <= a for a, b in zip(schedule, schedule[1:])):
-                problems.append(f"m_schedule must be strictly increasing: {self.m_schedule}")
+                problems.append(f"m_schedule must be strictly increasing: {schedule}")
             if any(m < 0 for m in schedule):
                 problems.append("sample sizes cannot be negative")
             if self.kind in ("recovery", "gap") and any(m < 1 for m in schedule):
@@ -115,23 +109,18 @@ class ExperimentConfig:
         if trials is not None and trials < 1:
             problems.append(f"trials must be at least 1, got {trials}")
         if delta is not None and not 0.0 < delta < 1.0:
-            problems.append(f"delta={self.delta} outside (0, 1)")
+            problems.append(f"delta={delta} outside (0, 1)")
         if seed is not None and seed < 0:
             problems.append(f"seed must be nonnegative, got {seed}")
         if self.kind == "fano" and k is not None and k < 1:
             problems.append("fano runs need k >= 1")
         # the library's own action-count, grid and PSNE-index rules; a fano
         # run's q rule checks the action counts too, once the class is valid
-        fano = self.kind == "fano" and class_ok and fano_q_ok
+        fano = self.kind == "fano" and class_ok and fano_q_ok and sizes is not None
         rules = [(_fano_q, self) if fano else (ActionSpace, sizes or (2,))]
-        if None not in grid:
-            rules.append((_normalize_grid, self.grid))
-        rules.append((PsneSet, self.truth_psne or ()))
-        for rule, value in rules:
-            try:
-                rule(value)
-            except InputError as exc:
-                problems.append(str(exc))
+        for rule, value in rules + [(_normalize_grid, grid), (PsneSet, truth)]:
+            if value is not None:
+                check(rule, value)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -158,12 +147,22 @@ class ResultTable:
         return [(r.m, r.value) for r in self.rows if r.metric == metric]
 
 
-def _integers(values) -> tuple[int, ...] | None:
-    """`values` as Python ints, or None if one of them is not an integer."""
+def _tuple(values, what: str) -> tuple:
+    """`values` as a tuple; a value that is not a sequence is an InputError."""
     try:
-        return tuple(_integer(v, "value") for v in values)
+        items = iter(values)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {values!r}") from None
+    return tuple(items)
+
+
+def _integers(values, what: str) -> tuple:
+    """`values` as a tuple, of Python ints if every one is an integer."""
+    values = _tuple(values, what)
+    try:
+        return tuple(_integer(v, what) for v in values)
     except InputError:
-        return None
+        return values
 
 
 def _fano_q(config: ExperimentConfig) -> float:

@@ -220,34 +220,41 @@ def random_grid_game(rng, n, k, sizes, grid):
     return PolymatrixGame(sizes, neighbors=neighbors, unary=unary, pairwise=pairwise)
 
 
-def player_structures(n, k, sizes, grid, i):
-    """Yield (parents, unary, {parent: table}) for one player, normalized:
-    u_ii(1) = 0, zero first pairwise row, no all-zero table."""
+def _normalized_stack(grid, si, sj):
+    """Every (si, sj) table with a zero first row and its other entries
+    from `grid`, in `itertools.product` order, as one stack."""
+    vals = np.array(list(itertools.product(grid, repeat=(si - 1) * sj)), dtype=float)
+    stack = np.zeros((len(vals), si, sj))
+    stack[:, 1:, :] = vals.reshape(len(vals), si - 1, sj)
+    return stack
+
+
+def _potential_stacks(n, k, sizes, grid, i):
+    """Yield (parents, unary, tables) per parent set of player i, normalized
+    and read-only: `unary` stacks every potential vector with u_ii(1) = 0,
+    and `tables` holds, per parent, a stack of every pairwise table with a
+    zero first row, the all-zero table left out."""
     si = sizes[i - 1]
     others = [j for j in range(1, n + 1) if j != i]
-    unary_choices = []
-    for vals in itertools.product(grid, repeat=si - 1):
-        u = np.zeros(si)
-        u[1:] = vals
-        u.flags.writeable = False
-        unary_choices.append(u)
+    unary = _normalized_stack(grid, si, 1)[:, :, 0]
+    unary.flags.writeable = False
     for psize in range(0, k + 1):
         for parents in itertools.combinations(others, psize):
-            table_choices = []
+            tables = []
             for j in parents:
-                sj = sizes[j - 1]
-                tables = []
-                for vals in itertools.product(grid, repeat=(si - 1) * sj):
-                    if all(v == 0.0 for v in vals):
-                        continue
-                    t = np.zeros((si, sj))
-                    t[1:, :] = np.asarray(vals).reshape(si - 1, sj)
-                    t.flags.writeable = False
-                    tables.append(t)
-                table_choices.append(tables)
-            for u in unary_choices:
-                for combo in itertools.product(*table_choices):
-                    yield parents, u, dict(zip(parents, combo))
+                stack = _normalized_stack(grid, si, sizes[j - 1])
+                tables.append(stack[stack.any(axis=(1, 2))])
+                tables[-1].flags.writeable = False
+            yield parents, unary, tables
+
+
+def player_structures(n, k, sizes, grid, i):
+    """Yield (parents, unary, {parent: table}) for one player, one
+    normalized structure at a time."""
+    for parents, unary, tables in _potential_stacks(n, k, sizes, grid, i):
+        for u in unary:
+            for combo in itertools.product(*tables):
+                yield parents, u, dict(zip(parents, combo))
 
 
 def enumerate_grid_games(
@@ -277,50 +284,54 @@ def enumerate_grid_games(
 
 
 def _cfg_best_response_table(unary, tables):
-    """Boolean table br[a, cfg] over one player's parent configurations.
+    """Boolean table br[..., a, cfg] over one player's parent configurations,
+    for every choice of one table per parent at once.
 
-    `unary` is the player's potential vector and `tables` holds one
-    (|A_i|, |A_j|) pairwise table per parent; cfg enumerates the parents in
+    `unary` is the player's potential vector and `tables` holds one stack
+    of (|A_i|, |A_j|) pairwise tables per parent, whose choices index the
+    leading axes of br, one axis per parent; cfg enumerates the parents in
     that order, first parent most significant.  Returns (br, cfg strides).
     """
     m = math.prod(t.shape[-1] for t in tables)
-    payoff = np.repeat(unary[..., None], m, axis=-1)
+    payoff = np.repeat(unary[:, None], m, axis=-1)
     stride = m
     cstrides = []
-    for table in tables:
+    for axis, table in enumerate(tables):
         sj = table.shape[-1]
         stride //= sj
         cstrides.append(stride)
-        payoff += table[..., (np.arange(m) // stride) % sj]
+        others = [a for a in range(len(tables)) if a != axis]
+        payoff = payoff + np.expand_dims(table[..., (np.arange(m) // stride) % sj], others)
     return payoff == payoff.max(axis=-2, keepdims=True), cstrides
 
 
 def _structure_rows(n, k, sizes, grid, i, space):
-    """Player i's acceptance region per structure, as a bool row over the
-    joint space: one best-response table per structure over its parent
-    configurations, looked up at every joint index through the mixed-radix
-    digits of that index."""
+    """Player i's acceptance regions as bool rows over the joint space, in
+    one block per parent set and unary choice: the best-response table of
+    each pairwise-table choice over its parent configurations, looked up at
+    every joint index through the mixed-radix digits of that index."""
     size = space.joint_size
     all_idx = np.arange(size, dtype=np.int64)
     digits = {j: space.digit(all_idx, j) for j in range(1, n + 1)}
-    cfgs = {}
-    for parents, u, tables in player_structures(n, k, sizes, grid, i):
-        br, cstrides = _cfg_best_response_table(u, [tables[j] for j in parents])
-        if parents not in cfgs:
-            cfgs[parents] = sum(
+    for parents, unary, tables in _potential_stacks(n, k, sizes, grid, i):
+        for u in unary:
+            br, cstrides = _cfg_best_response_table(u, tables)
+            cfg = sum(
                 (digits[j] * stride for j, stride in zip(parents, cstrides)),
                 np.zeros(size, dtype=np.int64),
             )
-        yield br[digits[i], cfgs[parents]]
+            yield br[..., digits[i], cfg].reshape(-1, size)
 
 
 def direct_player_regions(n, k, sizes, grid, i, space):
     """One player's distinct regions as int bitmasks (bit x is joint index
-    x), one Python call per structure: what the batched
-    `estimator._player_regions` must reproduce."""
+    x), from a best-response table per structure over its parent
+    configurations: what the batched `estimator._player_regions`, built on
+    the joint grid instead, must reproduce."""
     return {
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in _structure_rows(n, k, sizes, grid, i, space)
+        int.from_bytes(row.tobytes(), "little")
+        for block in _structure_rows(n, k, sizes, grid, i, space)
+        for row in np.unique(np.packbits(block, axis=1, bitorder="little"), axis=0)
     }
 
 
@@ -343,8 +354,9 @@ def games_psne_sets(n, k, sizes, grid):
 def packed_player_regions(n, k, sizes, grid, i, space):
     """One player's distinct acceptance regions as packed uint8 rows."""
     rows = {
-        np.packbits(row).tobytes()
-        for row in _structure_rows(n, k, sizes, grid, i, space)
+        row.tobytes()
+        for block in _structure_rows(n, k, sizes, grid, i, space)
+        for row in np.packbits(block, axis=1)
     }
     packed = np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8)
     return packed.reshape(len(rows), -1)

@@ -99,16 +99,53 @@ class TestConfigValidation:
             ({"grid": (0.0, "x")}, "grid value must be a real number, got 'x'"),
             ({"grid": (True,)}, "grid value must be a real number, got True"),
             ({"grid": (10**400,)}, "grid values must be finite"),
+            ({"m_schedule": 1000}, "m_schedule must be a sequence, got 1000"),
+            ({"grid": 1.0}, "grid must be a sequence, got 1.0"),
+            ({"action_sizes": 3}, "action_sizes must be a sequence, got 3"),
+            ({"truth_psne": 7}, "truth_psne must be a sequence, got 7"),
+            ({"m_schedule": None}, "m_schedule must be a sequence, got None"),
+            ({"grid": None}, "grid must be a sequence, got None"),
+            ({"action_sizes": None}, "action_sizes must be a sequence, got None"),
         ],
         ids=[
             "float-seed", "float-trials", "float-m", "float-n", "float-k",
             "str-q-star", "bool-seed", "bool-trials", "none-delta", "str-fano-q",
             "str-grid", "bool-grid", "int-grid-past-float-range",
+            "int-m-schedule", "float-grid", "int-action-sizes", "int-truth-psne",
+            "none-m-schedule", "none-grid", "none-action-sizes",
         ],
     )
     def test_field_types_checked(self, fields, message):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**{"kind": "recovery", "n": 3, "k": 1, **fields})
+        assert str(err.value) == message
+
+    # every rule but one broken at once: a bad kind cannot also be a fano run
+    EVERY_RULE = dict(
+        n=3, k=0, action_sizes=(2, 1), grid=(math.inf,), q_star="0.7",
+        m_schedule=(5, 5, -1), trials=0, seed=-1, delta=2.0, truth_psne=(-1,),
+    )
+    EVERY_MESSAGE = (
+        "q_star must be a real number, got '0.7'; 2 action sizes for 3 players; "
+        "m_schedule must be strictly increasing: (5, 5, -1); "
+        "sample sizes cannot be negative; trials must be at least 1, got 0; "
+        "delta=2.0 outside (0, 1); seed must be nonnegative, got -1; "
+        "{fano}every action count must be >= 2, got (2, 1); "
+        "grid values must be finite; joint-action indices must be nonnegative"
+    )
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("warmup", "kind must be one of recovery/gap/fano, got 'warmup'; "
+             + EVERY_MESSAGE.format(fano="")),
+            ("fano", EVERY_MESSAGE.format(fano="fano runs need k >= 1; ")),
+        ],
+        ids=["bad-kind", "fano"],
+    )
+    def test_every_message_in_its_place(self, kind, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, **self.EVERY_RULE)
         assert str(err.value) == message
 
     def test_type_errors_reported_with_the_rest(self):
