@@ -7,16 +7,19 @@ and (1, m_index, trial_index) yields the per-trial stream.  Its uint32
 words are read in pairs, high word first, as 64-bit integer sub-seeds
 (one per trial for recovery and gap; the hidden set's, then the draw's,
 for fano), and each sub-seed seeds one `default_rng`.  Trials run on the
-calling thread in trial-index order.
+calling thread in trial-index order.  A fano trial draws its hidden set
+from the enumeration or by sampling, and one per-set cache holds each
+drawn set's equilibrium index, which the decoded index is scored against.
 
 Those output bytes are the contract, so the per-trial seeding is not
 done by calling numpy per trial: `_seed_words` evaluates numpy's
 published SeedSequence algorithm (pool of 4, hashmix, mix, and
-generate_state) on uint32 columns, one entry per trial, for a chunk of
-SEED_CHUNK trials at a time.  The same kernel then mixes each sub-seed's
-two words into the four uint64 words PCG64 seeds from, and numpy's own
-PCG64 takes them through an `ISeedSequence` that returns them, so every
-trial's Generator is bit-identical to `default_rng(sub_seed)`.
+generate_state) on uint32 arrays only, a column per trial word and a
+length-1 array per shared word, for SEED_CHUNK trials at a time.  The
+same kernel then mixes each sub-seed's two words into the four uint64
+words PCG64 seeds from, and numpy's own PCG64 takes them through an
+`ISeedSequence` that returns them, so every trial's Generator is
+bit-identical to `default_rng(sub_seed)`.
 """
 
 from __future__ import annotations
@@ -191,37 +194,31 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _wrap(value):
-    """`value` mod 2**32: a Python int is masked, uint32 arrays wrap as is."""
-    return value & _MASK32 if isinstance(value, int) else value
-
-
 def _hasher(const: int, mult: int):
-    """numpy's hashmix over uint32 words, each a Python int or a uint32
-    array: xor the running constant, step it, multiply by the new one,
-    then xorshift by 16."""
+    """numpy's hashmix over uint32 arrays, which wrap mod 2**32: xor the
+    running constant, step it, multiply by the new one, then xorshift by 16."""
 
     def hashmix(value):
         nonlocal const
         value = value ^ const
         const = const * mult & _MASK32
-        value = _wrap(value * const)
+        value = value * const
         return value ^ value >> 16
 
     return hashmix
 
 
 def _mix(x, y):
-    result = _wrap(_wrap(_MIX_L * x) - _wrap(_MIX_R * y))
+    result = _MIX_L * x - _MIX_R * y
     return result ^ result >> 16
 
 
 def _pool(entropy: list) -> list:
-    """numpy's SeedSequence.mix_entropy: entropy words, first word first,
-    into the 4-word pool.  A word shared by every trial is a Python int,
-    mixed once; a uint32 column holds one word per trial."""
+    """numpy's SeedSequence.mix_entropy: entropy words (at least 4, as
+    numpy pads them with zeros), first word first, into the 4-word pool.
+    A length-1 word is shared by every trial and broadcasts."""
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    pool = [hashmix(word) for word in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -238,22 +235,24 @@ def _state(pool: list, n_words: int) -> list:
     return [hashmix(pool[i % 4]) for i in range(n_words)]
 
 
-def _words(value: int) -> list[int]:
-    """The uint32 words numpy reads a nonnegative int as, low word first."""
-    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+def _words(value: int, pad: int = 1) -> list[np.ndarray]:
+    """The uint32 words numpy reads a nonnegative int as, low word first,
+    zero-padded to `pad` words, each a length-1 array."""
+    shifts = range(0, max(value.bit_length(), 32 * pad), 32)
+    return [np.array([value >> s & _MASK32], dtype=np.uint32) for s in shifts]
 
 
 def _seed_words(master: int, m_index: int, lo: int, hi: int, streams: int) -> np.ndarray:
     """(hi - lo, streams, 4) uint64: for trials lo..hi-1 of m_index, the
     words PCG64 seeds each sub-seed's stream from; lo..hi-1 must lie on
     one side of 2**32, where trial indices take a second word."""
-    master_words = _words(master)
-    master_words += [0] * (4 - len(master_words))  # a spawned sequence pads to the pool
+    # the master's words, padded to the pool as a spawned sequence does, then the key
+    shared = _words(master, 4) + _words(1) + _words(m_index)
     index = np.arange(lo, hi, dtype=np.uint64)
     trial = [index.astype(np.uint32)]  # the low words
     if lo >> 32:
         trial.append((index >> 32).astype(np.uint32))
-    state = _state(_pool(master_words + [1] + _words(m_index) + trial), 2 * streams)
+    state = _state(_pool(shared + trial), 2 * streams)
     # sub-seed w is (state[2w] << 32) | state[2w + 1]
     low, high = (np.stack(state[i::2], axis=1).ravel() for i in (1, 0))
     return _pcg64_words(low, high).reshape(hi - lo, streams, 4)
@@ -263,7 +262,8 @@ def _pcg64_words(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """(len, 4) uint64: SeedSequence(sub-seed).generate_state(4, np.uint64),
     which PCG64 seeds from, for the sub-seeds low + (high << 32); a high
     word of 0 mixes as numpy's one-word entropy of a sub-seed below 2**32."""
-    state = np.stack(_state(_pool([low, high]), 8), axis=1).astype(np.uint64)
+    entropy = [low, high] + _words(0, 2)  # padded with zeros to the pool
+    state = np.stack(_state(_pool(entropy), 8), axis=1).astype(np.uint64)
     # the 8 words read as 4 little-endian uint64s
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
@@ -435,13 +435,13 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     """MAP decoding error over the influential-players family vs the bound.
 
     The hidden player set is drawn uniformly per trial: from the full
-    enumeration when it is small, otherwise by uniform sampling.  An
-    enumerated pi's game is built and verified by `influence_game` on its
-    first draw, and a pi that no trial draws is never built.  Trials run in
+    enumeration when it is small, otherwise by uniform sampling.  A pi's
+    equilibrium is found on its first draw, by `influence_game` (built and
+    verified) when enumerated, else by the closed form.  Trials run in
     index order, in blocks of at most SAMPLE_BLOCK // m: one `_blocks` call
     draws a block's ranks, row t maps through trial t's one equilibrium x_t
-    (an off-signal rank c to c + (c >= x_t), a signal draw to x_t), and one
-    pass of the row decoder decodes the block.
+    (an off-signal rank c to c + (c >= x_t), a signal draw to x_t), and a
+    trial errs when the row decoder's index for it is not x_t.
     """
     if config.kind != "fano":
         raise ConfigError(f"run_fano got a {config.kind!r} config")
@@ -451,26 +451,27 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
     population = math.comb(config.n, config.k)
     enumerated = population <= ENUMERATE_PI_LIMIT
     if enumerated:
-        pis, equilibria = all_influence_sets(config.n, config.k), {}
+        pis = all_influence_sets(config.n, config.k)
+    equilibria = {}  # each drawn pi's equilibrium index
 
     rows = []
     for mi, m in enumerate(config.m_schedule):
         errors = []
         for block in _trial_blocks(_trial_rngs(config.seed, mi, config.trials, 2), m):
-            drawn, hidden = [], []
+            hidden = []
             for pi_rng, _ in block:
                 if enumerated:
-                    j = int(pi_rng.integers(len(pis)))
-                    if j not in equilibria:
-                        game = influence_game(config.n, config.k, pis[j], space.counts)
-                        equilibria[j] = game.psne_index
-                    pi, index = pis[j], equilibria[j]
+                    pi = pis[int(pi_rng.integers(len(pis)))]
                 else:
                     chosen = pi_rng.choice(config.n, size=config.k, replace=False) + 1
                     pi = tuple(sorted(int(i) for i in chosen))
-                    index = encode_joint_action(space, influence_psne(pi, config.n))
-                drawn.append(pi)
-                hidden.append(index)
+                if pi not in equilibria:
+                    equilibria[pi] = (
+                        influence_game(config.n, config.k, pi, space.counts).psne_index
+                        if enumerated
+                        else encode_joint_action(space, influence_psne(pi, config.n))
+                    )
+                hidden.append(equilibria[pi])
             x = np.array(hidden, dtype=np.int64)[:, None]
             draws = np.empty((len(block), m), dtype=np.int64)
             for lo, s, c in _blocks([data_rng for _, data_rng in block], m, q, 1, size):
@@ -478,7 +479,7 @@ def run_fano(config: ExperimentConfig) -> ResultTable:
                 np.add(c, c >= x, out=out)
                 np.copyto(out, x, where=s)
             decoded = _decode_rows(space, draws, config.k)
-            errors += [d != pi for d, pi in zip(decoded, drawn)]
+            errors += [d != h for d, h in zip(decoded, hidden)]
         rows.append(_freq_row(m, "map_error", errors))
         bound = fano_error_lower_bound(m, config.n, config.k, size, q)
         rows.append(ResultRow(m, "fano_bound", bound, 0.0, config.trials))

@@ -14,9 +14,9 @@ since equilibrium samples are the only feature, it reduces to counting
 which candidate equilibrium appears most often.  One row decoder,
 `_decode_rows`, does that count for a (trials x m) block of draws at once:
 it sorts each row, takes run lengths, tests only the distinct values for
-being a candidate equilibrium, and picks each row's first maximum.
-`map_decoder` is that decoder on one row; `experiments.run_fano` hands it
-a block of trials.
+being a candidate equilibrium, and returns each row's first maximum as a
+joint index.  `map_decoder` reads its one row's index as a player set;
+`experiments.run_fano` compares a block's indices with the hidden ones.
 """
 
 from __future__ import annotations
@@ -122,11 +122,12 @@ def map_decoder(data: Dataset, k: int, q: float) -> tuple[int, ...]:
     space = data.space
     k = _check_k(space.n, k)
     mixture_interval(1, space.joint_size).admit(q)
-    return _decode_rows(space, data.indices.reshape(1, -1), k)[0]
+    index = _decode_rows(space, data.indices.reshape(1, -1), k)[0]
+    return tuple(p for p in range(1, space.n + 1) if space.digit(index, p) == 0)
 
 
-def _decode_rows(space: ActionSpace, rows: np.ndarray, k: int) -> list[tuple[int, ...]]:
-    """The MAP player set of each row of a (trials x m) int64 index block.
+def _decode_rows(space: ActionSpace, rows: np.ndarray, k: int) -> list[int]:
+    """The MAP equilibrium's joint index for each row of a (trials x m) int64 block.
 
     Each row is sorted and cut into runs of equal indices, so only the
     distinct values of a row take the candidate test (every action 1 or 2,
@@ -134,14 +135,14 @@ def _decode_rows(space: ActionSpace, rows: np.ndarray, k: int) -> list[tuple[int
     still in the running.  A candidate scores its run length.  Player 1 is
     most significant, so ascending index order is lexicographic order of
     candidates: each row's first maximum sends ties to the smallest, and a
-    row with no candidate (every row when m = 0) decodes to (1, ..., k).
-    No (distinct x n) digit array is formed; the block's sorted copy is
-    the largest temporary.
+    row with no candidate (every row when m = 0) decodes to (1, ..., k)'s
+    equilibrium.  No (distinct x n) digit array is formed; the block's
+    sorted copy is the largest temporary.
     """
     trials, m = rows.shape
-    fallback = tuple(range(1, k + 1))
+    decoded = np.full(trials, sum(space.strides[k:]))  # (1..k)'s equilibrium: 2 past k
     if m == 0:
-        return [fallback] * trials
+        return decoded.tolist()
     ordered = np.sort(rows, axis=1)
     opens = np.ones(ordered.shape, dtype=bool)  # a row's first entry opens a run
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=opens[:, 1:])
@@ -167,11 +168,8 @@ def _decode_rows(space: ActionSpace, rows: np.ndarray, k: int) -> list[tuple[int
     row, best = row[ranked], values[hit[ranked]]
     first = np.ones(row.size, dtype=bool)
     np.not_equal(row[1:], row[:-1], out=first[1:])
-    digits = best[first][:, None] // np.array(space.strides) % np.array(space.counts)
-    decoded = [fallback] * trials
-    for r, flags in zip(row[first].tolist(), (digits == 0).tolist()):
-        decoded[r] = tuple(p for p, zero in enumerate(flags, 1) if zero)
-    return decoded
+    decoded[row[first]] = best[first]
+    return decoded.tolist()
 
 
 def all_influence_sets(n: int, k: int) -> list[tuple[int, ...]]:

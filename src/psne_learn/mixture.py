@@ -20,8 +20,8 @@ block's (trials x m) arrays, and a draw longer than SAMPLE_BLOCK is one
 trial streamed in chunks of SAMPLE_BLOCK.  `sample` maps its one row's
 ranks into a dataset's index array by one rank map at any |A|: a
 sorted-rank lookup for a complement rank, the PSNE set for a signal rank.
-`tally` and the trial fits count each row's ranks, and
-`experiments.run_fano` maps each row through its trial's one equilibrium.
+`tally` and the trial fits count each row's ranks, and `experiments.run_fano`
+maps each row to joint indices around its trial's one equilibrium index.
 A tally holds no m-long index array, only the m-byte signal mask of the
 first pass.
 """

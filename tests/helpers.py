@@ -590,6 +590,51 @@ def per_trial_fano(config):
     return experiments._table(rows, meta)
 
 
+def exact_recovery(family, truth, m):
+    """The exact law of the MLE over `family` at m draws from `truth`.
+
+    The fit reads only the histogram of joint indices, which is
+    multinomial, so each quantity is a finite sum over all
+    C(m + |A| - 1, |A| - 1) histograms, weighted by their multinomial pmf
+    (taken in log space from the truth's per-index probabilities, not from
+    the library's sampler).  The in-set counts come from `member_matrix`;
+    the scan is the library's.  Returns the superset, exact and subset
+    recovery probabilities, and the mean and standard deviation of the
+    population gap `expected_nll(fit, truth) - expected_nll(truth, truth)`.
+    """
+    size, r = family.space.joint_size, len(truth.psne)
+    # stars and bars: size - 1 bar positions among m + size - 1 slots
+    bars = np.array(list(itertools.combinations(range(m + size - 1), size - 1)))
+    ends = np.full((len(bars), 1), m + size - 1)
+    hists = np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
+    p = np.full(size, (1.0 - truth.q) / (size - r))
+    p[list(truth.psne)] = truth.q / r
+    log_fact = np.array([math.lgamma(c + 1) for c in range(m + 1)])
+    weight = np.exp(log_fact[m] - log_fact[hists].sum(axis=1) + hists @ np.log(p))
+
+    inside = (hists @ member_matrix(family).T.astype(np.int64)).astype(float)
+    best, q_hat, _, _ = _scan(family, inside, m - inside, float(m))
+    true = frozenset(truth.psne)
+    hats = [frozenset(c) for c in family]
+    flags = {
+        "superset": np.array([true <= h for h in hats]),
+        "exact": np.array([true == h for h in hats]),
+        "subset": np.array([h <= true for h in hats]),
+    }
+    fits, which = np.unique(np.stack([best, q_hat], axis=1), axis=0, return_inverse=True)
+    baseline = expected_nll(truth, truth)
+    gap = np.array(
+        [
+            expected_nll(MixtureModel(family.space, family[int(b)], q), truth) - baseline
+            for b, q in fits.tolist()
+        ]
+    )[which.ravel()]
+    mean = float(weight @ gap)
+    law = {name: float(weight @ hits[best]) for name, hits in flags.items()}
+    law.update(gap_mean=mean, gap_sd=math.sqrt(max(float(weight @ gap**2) - mean**2, 0.0)))
+    return law
+
+
 def per_row_dataset_text(data):
     """The dataset CSV text formatted row by row, cell by cell: the bytes
     `write_dataset` must reproduce."""

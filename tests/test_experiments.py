@@ -10,6 +10,8 @@ from psne_learn import (
     ExperimentConfig,
     FitResult,
     InputError,
+    MixtureModel,
+    PsneSet,
     enumerate_psne_sets,
     fit_counts,
     fit_mle,
@@ -29,7 +31,8 @@ from psne_learn.experiments import (
     _seed_words,
 )
 
-from helpers import _trial_words, per_trial_fano, per_trial_gap, per_trial_recovery, trial_rngs
+from helpers import _trial_words, exact_recovery, per_trial_fano, per_trial_gap, per_trial_recovery
+from helpers import trial_rngs
 from psne_learn.mixture import SAMPLE_BLOCK
 
 
@@ -274,6 +277,47 @@ class TestRecovery:
         assert table.meta["seed"] == 11
         assert table.meta["config"]["kind"] == "recovery"
         assert table.meta["derived"]["family_size"] > 0
+
+
+class TestExactLaw:
+    """The recovery and gap harnesses against the exact law of the MLE on
+    the n=2, k=1 binary class (|A| = 4, 14 candidate sets), one truth of
+    each size.  The oracle sums over every histogram, so it shares neither
+    the seeding nor the sampler nor the tally with the harnesses.  Cells,
+    seeds, trial count and z bound were fixed before the first run; every
+    cell is reported when one misses."""
+
+    TRUTHS = (((0,), 0.5), ((0, 3), 0.7), ((1, 2, 3), 0.85))
+    M_SCHEDULE, TRIALS, Z = (5, 20, 50), 2000, 4.0
+
+    def test_frequencies_and_mean_gap_within_z_of_exact(self):
+        cells, misses = [], []
+        family = enumerate_psne_sets(2, 1, ())
+        for truth_psne, q in self.TRUTHS:
+            shared = dict(
+                n=2, k=1, truth_psne=truth_psne, q_star=q,
+                m_schedule=self.M_SCHEDULE, trials=self.TRIALS,
+            )
+            recovery = run_recovery(ExperimentConfig(kind="recovery", seed=0, **shared))
+            gap = run_generalization_gap(ExperimentConfig(kind="gap", seed=1, **shared))
+            truth = MixtureModel(family.space, PsneSet(truth_psne), q)
+            tables = {name: recovery for name in ("superset", "exact", "subset")}
+            tables["gap_mean"] = gap
+            for m in self.M_SCHEDULE:
+                law = exact_recovery(family, truth, m)
+                for metric, table in tables.items():
+                    (got,) = [value for mm, value in table.values(metric) if mm == m]
+                    want = law[metric]
+                    if metric == "gap_mean":
+                        spread, slack = law["gap_sd"], 0.0
+                    else:  # a binomial frequency, with half a trial of slack
+                        spread, slack = math.sqrt(want * (1.0 - want)), 0.5 / self.TRIALS
+                    bound = self.Z * spread / math.sqrt(self.TRIALS) + slack
+                    cell = f"{truth_psne} q={q} m={m} {metric}: {got:.4f}, exact {want:.4f}"
+                    cells.append(f"{cell}, z={(got - want) / (bound / self.Z):+.2f}")
+                    if abs(got - want) > bound:
+                        misses.append(cell)
+        assert not misses, "\n".join(["outside the bound:"] + misses + ["every cell:"] + cells)
 
 
 class TestGeneralizationGap:

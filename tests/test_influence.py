@@ -232,9 +232,15 @@ class TestMapDecoder:
 
 class TestDecodeRows:
     """The row decoder behind `map_decoder` and `run_fano`, row by row
-    against the one-trial `np.unique` oracle and the likelihood scan."""
+    against the one-trial `np.unique` oracle and the likelihood scan: each
+    row decodes to the joint index of its MAP set's equilibrium."""
 
     SPACES = ((2,) * 4, (2,) * 6, (2, 3, 2, 2, 3))
+
+    @staticmethod
+    def equilibria(space, *pis):
+        """The joint index of each player set's equilibrium."""
+        return [encode_joint_action(space, influence_psne(pi, space.n)) for pi in pis]
 
     @staticmethod
     def row(rng, space, k, kind, m):
@@ -265,9 +271,10 @@ class TestDecodeRows:
         q = 2.0 / space.joint_size
         decoded = _decode_rows(space, block, k)
         assert len(decoded) == block.shape[0]
+        assert all(type(index) is int for index in decoded)
         for row, got in zip(block, decoded):
-            assert got == unique_map_decoder(space, row, k)
-            assert got == brute_map_decoder(Dataset(space, row), k, q)
+            assert [got] == self.equilibria(space, unique_map_decoder(space, row, k))
+            assert [got] == self.equilibria(space, brute_map_decoder(Dataset(space, row), k, q))
 
     def test_seeded_blocks_match_oracles(self):
         rng = np.random.default_rng(43)
@@ -301,7 +308,7 @@ class TestDecodeRows:
         b = encode_joint_action(space, influence_psne((1, 3), 5))
         stray = encode_joint_action(space, (2, 3, 2, 2, 3))  # scores for nobody
         block = np.array([[a, b, a, b, stray], [stray] * 3 + [a] * 2], dtype=np.int64)
-        assert _decode_rows(space, block, 2) == [(1, 3), (2, 4)]
+        assert _decode_rows(space, block, 2) == [b, a] == self.equilibria(space, (1, 3), (2, 4))
 
     def test_runs_never_straddle_rows(self):
         space = ActionSpace((2,) * 4)
@@ -309,14 +316,14 @@ class TestDecodeRows:
         high = encode_joint_action(space, influence_psne((3, 4), 4))
         assert low < high  # row 0 sorted ends on the value row 1 holds throughout
         block = np.array([[high, low], [high, high]], dtype=np.int64)
-        assert _decode_rows(space, block, 2) == [(1, 2), (3, 4)]
+        assert _decode_rows(space, block, 2) == [low, high]
 
     def test_rows_without_candidate_decode_to_first_set(self):
         space = ActionSpace((2,) * 4)
         blank = encode_joint_action(space, (2, 2, 2, 2))
         block = np.array([[blank] * 3, [0, blank, 0]], dtype=np.int64)
-        assert _decode_rows(space, block, 2) == [(1, 2), (1, 2)]
-        assert _decode_rows(space, block[:, :0], 3) == [(1, 2, 3)] * 2
+        assert _decode_rows(space, block, 2) == self.equilibria(space, (1, 2)) * 2
+        assert _decode_rows(space, block[:, :0], 3) == self.equilibria(space, (1, 2, 3)) * 2
 
 
 class TestAllInfluenceSets:
